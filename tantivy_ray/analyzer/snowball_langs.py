@@ -1955,7 +1955,7 @@ def greek_stem(word: str) -> str:
     re-attachment exception lists; step 6's regular-inflection strip is
     gated on no earlier verb rule having fired (the algorithm's `test1`
     flag); step 7 removes comparative/superlative endings."""
-    w = word.translate(_EL_PRELUDE)
+    w = normalized = word.translate(_EL_PRELUDE)
     if len(w) < 4:
         return w
     test1 = True
@@ -2143,7 +2143,9 @@ def greek_stem(word: str) -> str:
     stem, suf = _el_strip(w, _EL_STEP7)
     if suf:
         w = stem
-    return w
+    # minimum-stem guard: a word that is all suffix (οταν, ειτε, ησαν,
+    # ομαι, ουμε) keeps its normalized form instead of stemming to ''
+    return w or normalized
 
 
 # ---------------------------------------------------------------------------

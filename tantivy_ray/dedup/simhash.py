@@ -187,9 +187,16 @@ def simhash_pairs(ds, text_col="text", id_col="doc_id",
         raise ValueError(f"m must be in [2, {64 - max_distance}]")
     n_pieces = max_distance + m
     widths, offsets = _piece_layout(n_pieces)
+    # a table key packs m pieces plus the table index: check that budget
+    # from C(k+m, m) before enumerating any combination
+    n_tables = math.comb(n_pieces, m)
+    table_bits = (n_tables - 1).bit_length()
+    key_bits = int(widths.max()) * m + table_bits
+    if key_bits > 64:
+        raise ValueError(
+            f"max_distance={max_distance}, m={m}: {n_tables} tables need "
+            f"a {key_bits}-bit key (64 max); lower m")
     combos = list(combinations(range(n_pieces), m))
-    table_bits = int(len(combos) - 1).bit_length()
-    assert int(widths.max()) * m + table_bits <= 64, "key overflow"
 
     def stage(batch: pa.Table) -> pa.Table:
         out = analyze_batch(batch.column(text_col), analyzer)

@@ -6,6 +6,8 @@ from .compression import (  # noqa: F401
     bit_width,
     bitpack,
     bitunpack,
+    decode_postings_batch,
+    encode_postings_batch,
     encode_term_postings,
 )
 from .manifest import (  # noqa: F401

@@ -39,14 +39,20 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..bm25 import compute_tf_cache
-from .compression import TermPostingsReader, encode_term_postings
+from .compression import (
+    TermPostingsReader,
+    batch_bounds,
+    decode_postings_batch,
+    encode_postings_batch,
+    gather_ranges,
+)
 from .manifest import load_manifest
 from .segment import SegmentReader, segment_dir_name
 
@@ -188,7 +194,6 @@ class ExplodeSegment:
                     pa.array(fast_ords, type=pa.int64())).cast(pa.string())
                 salt_str = pa.array(
                     np.char.zfill(salts.astype("U12"), 12))
-                import pyarrow.compute as pc
                 group_keys = pc.binary_join_element_wise(
                     terms, salt_str, "\x00")
                 mv = memoryview(reader._postings)
@@ -281,6 +286,28 @@ _MERGED_SCHEMA = pa.schema([
 ])
 
 
+def _binary_view(col) -> Tuple[np.ndarray, np.ndarray]:
+    """(data bytes, int64 offsets[n + 1]) of a binary column: zero-copy
+    views of its Arrow buffers."""
+    arr = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    if arr.type != pa.large_binary():
+        arr = arr.cast(pa.large_binary())
+    _, offs, data = arr.buffers()
+    offsets = np.frombuffer(offs, dtype=np.int64)[
+        arr.offset:arr.offset + len(arr) + 1]
+    data = (np.frombuffer(data, dtype=np.uint8) if data is not None
+            else np.empty(0, dtype=np.uint8))
+    return data, offsets
+
+
+def _binary_array(data: np.ndarray, lens: np.ndarray) -> pa.Array:
+    """large_binary array over values laid end to end (zero-copy)."""
+    offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
+    return pa.Array.from_buffers(
+        pa.large_binary(), len(lens),
+        [None, pa.py_buffer(offsets), pa.py_buffer(data)])
+
+
 def _reduce_fragment_block(tbl: pa.Table, avg_fieldnorm: float,
                            index_dir: str) -> pa.Table:
     """Reduce ALL (term, salt) groups in one sorted block, vectorized.
@@ -290,22 +317,20 @@ def _reduce_fragment_block(tbl: pa.Table, avg_fieldnorm: float,
     guarantees a group never straddles blocks.  Single-encoded-fragment
     groups (the overwhelming tail of a Zipfian vocabulary) are reduced
     with ONE ``take``: blob and doc_base pass through untouched — no
-    decode, no re-encode, no per-group python.  Multi-fragment groups
-    stack fragments in ascending global-doc order and re-encode
-    (fieldnorms for encoded fragments come from a per-worker mmap of
-    the source segment's fieldnorms.bin)."""
+    decode, no re-encode, no per-group python.  All other groups are
+    stacked and re-encoded by ``_reduce_groups``, a bounded batch of
+    groups per call."""
     n = tbl.num_rows
     if n == 0:
         return pa.Table.from_pydict(
             {f.name: [] for f in _MERGED_SCHEMA}, schema=_MERGED_SCHEMA)
-    keys = np.asarray(tbl.column("group_key").to_pylist(), dtype=object)
-    change = np.empty(n, dtype=bool)
-    change[0] = True
-    change[1:] = keys[1:] != keys[:-1]
+    keys = tbl.column("group_key").combine_chunks()
+    change = np.ones(n, dtype=bool)
+    change[1:] = pc.not_equal(keys.slice(1), keys.slice(0, n - 1)).to_numpy(
+        zero_copy_only=False)
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
     run_len = ends - starts
-    import pyarrow.compute as pc
     blob_len = pc.binary_length(tbl.column("blob")).to_numpy()
     single = (run_len == 1) & (blob_len[starts] > 0)
 
@@ -326,68 +351,118 @@ def _reduce_fragment_block(tbl: pa.Table, avg_fieldnorm: float,
 
     slow_starts = starts[~single]
     if len(slow_starts):
+        # rows of every remaining group, ordered by (group, first_doc):
+        # a group's fragments cover disjoint ascending doc ranges, so
+        # this order stacks them into one sorted posting list
+        slow_len = run_len[~single]
+        group = np.repeat(np.arange(len(slow_starts)), slow_len)
+        rows = gather_ranges(slow_starts, slow_len)
+        rows = rows[np.lexsort((tbl.column("first_doc").to_numpy()[rows],
+                                group))]
+        row0 = np.cumsum(slow_len) - slow_len
+        group_df = np.add.reduceat(
+            tbl.column("doc_freq").to_numpy()[rows], row0)
+        cols = {name: _binary_view(tbl.column(name))
+                for name in ("blob", "docs", "tfs", "fids", "pos")
+                if name in tbl.column_names}
         cache = compute_tf_cache(np.float32(avg_fieldnorm))
-        terms_np = tbl.column("term").to_pylist()
-        salt_np = tbl.column("salt").to_numpy()
-        first_np = tbl.column("first_doc").to_numpy()
-        base_np = tbl.column("doc_base").to_numpy()
-        seg_np = tbl.column("segment_ord").to_numpy()
-        blob_col = tbl.column("blob")
-        docs_col = tbl.column("docs")
-        tfs_col = tbl.column("tfs")
-        fids_col = tbl.column("fids")
-        pos_col = tbl.column("pos") if "pos" in tbl.column_names else None
-        rows = {f.name: [] for f in _MERGED_SCHEMA}
-        for s, e in zip(slow_starts, ends[~single]):
-            idx = np.arange(s, e)[np.argsort(first_np[s:e], kind="stable")]
-            docs_parts, tf_parts, fid_parts, pos_parts = [], [], [], []
-            for i in idx:
-                i = int(i)
-                blob = blob_col[i].as_py()
-                if blob:
-                    pr = TermPostingsReader(
-                        np.frombuffer(blob, dtype=np.uint8))
-                    d, tf = pr.decode_all()
-                    fid_parts.append(
-                        _fieldnorms_for(index_dir, int(seg_np[i]))[d])
-                    docs_parts.append(d.astype(np.int64) + int(base_np[i]))
-                    tf_parts.append(tf)
-                else:
-                    docs_parts.append(
-                        np.frombuffer(docs_col[i].as_py(), dtype=np.int64))
-                    tf_parts.append(
-                        np.frombuffer(tfs_col[i].as_py(), dtype=np.uint32))
-                    fid_parts.append(
-                        np.frombuffer(fids_col[i].as_py(), dtype=np.uint8))
-                if pos_col is not None:
-                    pos_parts.append(pos_col[i].as_py() or b"")
-            docs = np.concatenate(docs_parts)
-            tfs = np.concatenate(tf_parts)
-            fids = np.concatenate(fid_parts)
-            # fragment position streams concatenate in the same ascending
-            # first_doc order (each stream is posting-aligned and resets
-            # to absolute at posting boundaries); if ANY fragment lacks
-            # positions the merged term drops them (mixed-build segments)
-            merged_pos = (b"".join(pos_parts)
-                          if pos_parts and all(pos_parts) else b"")
-            # ranges are disjoint and each sorted → concat in first_doc
-            # order is sorted
-            assert (np.diff(docs) > 0).all(), "overlapping salted fragments"
-            # fids are posting-aligned; a doc-indexed dense array here
-            # would be an O(global-corpus-size) allocation per term group
-            blob = encode_term_postings(
-                docs.astype(np.uint32), tfs, fids, cache,
-                fids_per_posting=True)
-            rows["term"].append(terms_np[int(s)])
-            rows["salt"].append(int(salt_np[s:e].min()))
-            rows["doc_freq"].append(len(docs))
-            rows["first_doc"].append(int(docs[0]))
-            rows["last_doc"].append(int(docs[-1]))
-            rows["doc_base"].append(0)
-            rows["postings"].append(blob)
-            rows["pos"].append(merged_pos)
-        outs.append(pa.Table.from_pydict(rows, schema=_MERGED_SCHEMA))
+        bounds = batch_bounds(group_df)
+        for g0, g1 in zip(bounds[:-1], bounds[1:]):
+            r1 = row0[g1] if g1 < len(row0) else len(rows)
+            outs.append(_reduce_groups(
+                tbl, cols, rows[row0[g0]:r1], slow_len[g0:g1],
+                slow_starts[g0:g1], cache, index_dir))
     return pa.concat_tables(outs)
+
+
+def _reduce_groups(tbl: pa.Table, cols: Dict, rows: np.ndarray,
+                   run_len: np.ndarray, group_rows: np.ndarray,
+                   cache: np.ndarray, index_dir: str) -> pa.Table:
+    """Stack and re-encode a batch of groups in one pass.
+
+    ``rows`` are the groups' fragment rows, group after group, each
+    group's in ascending first_doc order (``run_len`` rows per group;
+    ``group_rows`` is each group's first row in the block).  Encoded
+    fragments are decoded in one batch straight from the ``blob``
+    column's Arrow buffers, their fieldnorm ids gathered per source
+    segment (a per-worker mmap of its fieldnorms.bin); decode-path
+    fragments carry raw global docs/tfs/fids."""
+    seg_np = tbl.column("segment_ord").to_numpy()[rows]
+    base_np = tbl.column("doc_base").to_numpy()[rows]
+    blob_data, blob_offs = cols["blob"]
+    enc = blob_offs[rows + 1] > blob_offs[rows]
+    docs_e, tfs_e, cnt_e = decode_postings_batch(
+        blob_data, blob_offs[rows[enc]])
+    seg_e = np.repeat(seg_np[enc], cnt_e)
+    fids_e = np.empty(len(docs_e), dtype=np.uint8)
+    for seg in np.unique(seg_np[enc]):
+        sel = seg_e == seg
+        fids_e[sel] = _fieldnorms_for(index_dir, int(seg))[docs_e[sel]]
+
+    raw = rows[~enc]
+    docs_offs = cols["docs"][1]
+    cnt_r = (docs_offs[raw + 1] - docs_offs[raw]) // 8
+
+    def raw_values(name, itemsize):
+        data, offs = cols[name]
+        return data[gather_ranges(offs[raw], itemsize * cnt_r)]
+
+    # lay every fragment out in row order
+    cnt = np.empty(len(rows), dtype=np.int64)
+    cnt[enc] = cnt_e
+    cnt[~enc] = cnt_r
+    first = np.cumsum(cnt) - cnt
+    docs = np.empty(int(cnt.sum()), dtype=np.int64)
+    tfs = np.empty(len(docs), dtype=np.uint32)
+    fids = np.empty(len(docs), dtype=np.uint8)
+    dst = gather_ranges(first[enc], cnt_e)
+    docs[dst] = docs_e.astype(np.int64) + np.repeat(base_np[enc], cnt_e)
+    tfs[dst] = tfs_e
+    fids[dst] = fids_e
+    dst = gather_ranges(first[~enc], cnt_r)
+    docs[dst] = raw_values("docs", 8).view(np.int64)
+    tfs[dst] = raw_values("tfs", 4).view(np.uint32)
+    fids[dst] = raw_values("fids", 1)
+
+    row0 = np.cumsum(run_len) - run_len
+    g_cnt = np.add.reduceat(cnt, row0)
+    g_first = np.cumsum(g_cnt) - g_cnt
+    g_end = g_first + g_cnt
+    # ranges are disjoint and each sorted → each group's stack is sorted
+    ok = docs[1:] > docs[:-1]
+    ok[g_first[1:] - 1] = True
+    if not ok.all():
+        raise ValueError("overlapping salted fragments")
+    # fids are posting-aligned; a doc-indexed dense array here would be an
+    # O(global-corpus-size) allocation
+    postings, _, post_lens = encode_postings_batch(
+        docs.astype(np.uint32), tfs, fids, g_first, g_end, cache)
+
+    # fragment position streams concatenate in the same row order (each
+    # is posting-aligned and resets to absolute at posting boundaries);
+    # if ANY fragment lacks positions the merged term drops them
+    # (mixed-build segments)
+    if "pos" in cols:
+        pos_data, pos_offs = cols["pos"]
+        plen = pos_offs[rows + 1] - pos_offs[rows]
+        keep = np.repeat(np.minimum.reduceat(plen > 0, row0), run_len)
+        pos = pos_data[gather_ranges(pos_offs[rows[keep]], plen[keep])]
+        pos_lens = np.add.reduceat(np.where(keep, plen, 0), row0)
+    else:
+        pos = np.empty(0, dtype=np.uint8)
+        pos_lens = np.zeros(len(run_len), dtype=np.int64)
+    return pa.Table.from_arrays([
+        tbl.column("term").take(pa.array(group_rows, type=pa.int64()))
+        .cast(pa.string()),
+        pa.array(np.minimum.reduceat(tbl.column("salt").to_numpy()[rows],
+                                     row0), type=pa.int64()),
+        pa.array(g_cnt, type=pa.int64()),
+        pa.array(docs[g_first], type=pa.int64()),
+        pa.array(docs[g_end - 1], type=pa.int64()),
+        pa.array(np.zeros(len(run_len), dtype=np.int64)),
+        _binary_array(postings, post_lens),
+        _binary_array(pos, pos_lens),
+    ], schema=_MERGED_SCHEMA)
 
 
 def merge_segments(

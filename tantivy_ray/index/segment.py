@@ -41,7 +41,7 @@ import pyarrow.parquet as pq
 from ..analyzer import analyze_batch
 from ..bm25 import compute_tf_cache
 from ..fieldnorm import fieldnorms_to_ids, ids_to_fieldnorms
-from .compression import TermPostingsReader, encode_term_postings
+from .compression import TermPostingsReader, encode_postings_batch
 
 SEGMENT_PREFIX = "seg-"
 
@@ -138,13 +138,6 @@ def build_segment_from_table(
         flat = pa.concat_arrays([p.combine_chunks() if hasattr(p, "combine_chunks") and isinstance(p, pa.ChunkedArray) else p for p in flat_parts])
         doc_of_token = np.concatenate(doc_parts)
 
-    def _fids_and_cache_for(term: str):
-        i = term.find("\x00")
-        if i < 0:
-            return fieldnorm_ids, local_cache
-        f = term[:i]
-        return field_fids[f], field_cache[f]
-
     seg_path = os.path.join(out_dir, segment_dir_name(segment_ord))
     os.makedirs(seg_path, exist_ok=True)
 
@@ -204,57 +197,54 @@ def build_segment_from_table(
         terms_sorted = vocab.take(
             pa.array(sort_idx[present_ranks], type=pa.int64())
         )
-        n_terms = len(term_starts)
         doc_freqs = (term_ends - term_starts).astype(np.uint32)
-        offsets = np.empty(n_terms, dtype=np.int64)
-        lens = np.empty(n_terms, dtype=np.int64)
 
-        positions_sorted = None
-        pos_offsets = np.empty(n_terms, dtype=np.int64)
-        pos_lens = np.empty(n_terms, dtype=np.int64)
+        # fieldnorm ids and the tf cache come from the term's field; a
+        # field's ``field\x00``-prefixed terms sort into one contiguous
+        # run, so the batched encoder runs once per run
+        fields = list(field_fids)
+        term_field = np.zeros(len(term_starts), dtype=np.int64)
+        for k, fname in enumerate(fields[1:], 1):
+            term_field[pc.starts_with(
+                terms_sorted, fname + "\x00").to_numpy(
+                    zero_copy_only=False)] = k
+        run_starts = np.flatnonzero(np.diff(term_field, prepend=-1))
+        run_ends = np.append(run_starts[1:], len(term_starts))
+        blobs, lens = [], []
+        for r0, r1 in zip(run_starts, run_ends):
+            fname = fields[term_field[r0]]
+            p0, p1 = term_starts[r0], term_ends[r1 - 1]
+            buf, _, run_lens = encode_postings_batch(
+                post_docs[p0:p1], tfs_all[p0:p1],
+                field_fids[fname][post_docs[p0:p1]],
+                term_starts[r0:r1] - p0, term_ends[r0:r1] - p0,
+                field_cache[fname])
+            blobs.append(buf)
+            lens.append(run_lens)
+        blob = np.concatenate(blobs)
+        lens = np.concatenate(lens)
+        offsets = np.cumsum(lens) - lens
+
         if record_positions:
+            # each posting's positions, delta-encoded within the posting
+            # (first position absolute): one pass over the whole stream,
+            # since term boundaries are posting boundaries
             pos_flat = (pa.concat_arrays(pos_parts)
                         if len(pos_parts) > 1 else pos_parts[0])
             positions_sorted = (
                 pos_flat.to_numpy(zero_copy_only=False)
                 .astype(np.uint32)[order]
             )
-
-        chunks: List[bytes] = []
-        pos_chunks: List[bytes] = []
-        off = 0
-        pos_off = 0
-        term_strings = terms_sorted.to_pylist()
-        for i in range(n_terms):
-            s, e = term_starts[i], term_ends[i]
-            t_fids, t_cache = _fids_and_cache_for(term_strings[i])
-            blob_i = encode_term_postings(
-                post_docs[s:e], tfs_all[s:e], t_fids, t_cache
-            )
-            offsets[i] = off
-            lens[i] = len(blob_i)
-            off += len(blob_i)
-            chunks.append(blob_i)
-            if record_positions:
-                # positions stream for the term: for each posting (in doc
-                # order) its tf positions, delta-encoded within the doc
-                tok_s, tok_e = posting_starts[s], posting_ends[e - 1]
-                pos_slice = positions_sorted[tok_s:tok_e]
-                d = pos_slice.copy()
-                d[1:] -= pos_slice[:-1]
-                # reset delta at posting boundaries (first position absolute)
-                starts_rel = posting_starts[s:e] - tok_s
-                d[starts_rel] = pos_slice[starts_rel]
-                pb = d.astype(np.uint32).tobytes()
-                pos_offsets[i] = pos_off
-                pos_lens[i] = len(pb)
-                pos_off += len(pb)
-                pos_chunks.append(pb)
-            else:
-                pos_offsets[i] = -1
-                pos_lens[i] = 0
-        blob = b"".join(chunks)
-        pos_blob = b"".join(pos_chunks)
+            pos_blob = positions_sorted.copy()
+            pos_blob[1:] -= positions_sorted[:-1]
+            pos_blob[posting_starts] = positions_sorted[posting_starts]
+            tok_first = posting_starts[term_starts]
+            pos_offsets = 4 * tok_first
+            pos_lens = 4 * (posting_ends[term_ends - 1] - tok_first)
+        else:
+            pos_offsets = np.full(len(term_starts), -1, dtype=np.int64)
+            pos_lens = np.zeros(len(term_starts), dtype=np.int64)
+            pos_blob = b""
 
     with open(os.path.join(seg_path, "postings.bin"), "wb") as f:
         f.write(blob)

@@ -655,6 +655,14 @@ IVF_NPROBE = 12
 IVF_NLISTS = 16
 
 
+def _ivf_store_dir(sf_dir: str) -> str:
+    """IVF store for one corpus: keyed by an md5 of its absolute path,
+    which (unlike the per-process salted ``hash()``) is the same in every
+    process, so runs over the same corpus share one directory."""
+    key = hashlib.md5(os.path.abspath(sf_dir).encode()).hexdigest()[:16]
+    return os.path.join("/tmp/tantivy_ray_cache", f"ivf_{key}")
+
+
 def q_ivf_recall(sf_dir: str) -> pa.Table:
     """Recall@10 gate for the IVF index vs the exact distributed brute
     force (nprobe=12/16: the synthetic embeddings are near-random, so
@@ -682,9 +690,8 @@ def q_ivf_recall(sf_dir: str) -> pa.Table:
     exact = brute_force_cosine_topk(ds, qids, qmat, k=ANN_K,
                                     exclude_ids=exclude).to_pandas()
 
-    store = os.path.join("/tmp/tantivy_ray_cache",
-                         f"ivf_{abs(hash(os.path.abspath(sf_dir))) % 10**9}")
-    ivf = IvfIndex.build(ds, store, n_lists=IVF_NLISTS, seed=11)
+    ivf = IvfIndex.build(ds, _ivf_store_dir(sf_dir), n_lists=IVF_NLISTS,
+                         seed=11)
 
     rows = []
     for qi, qv in zip(qids, qmat):

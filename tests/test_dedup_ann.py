@@ -61,6 +61,19 @@ class TestSimHashUnit:
         s = SimHasher()
         assert s.fingerprint(BASE.split()) == s.fingerprint(BASE.split())
 
+    def test_key_budget_checked_before_enumerating(self, monkeypatch):
+        import itertools
+
+        from tantivy_ray.dedup.simhash import simhash_pairs
+
+        def no_enumeration(*args, **kwargs):
+            raise AssertionError("piece combinations were enumerated")
+
+        monkeypatch.setattr(itertools, "combinations", no_enumeration)
+        # k=30, m=20: C(50, 20) ~ 4.7e13 tables need an 86-bit key
+        with pytest.raises(ValueError, match="86-bit key"):
+            simhash_pairs(None, max_distance=30, m=20)
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestDedupPipelines:
@@ -104,6 +117,24 @@ class TestDedupPipelines:
 
 @pytest.mark.usefixtures("ray_session")
 class TestAnn:
+    def test_ivf_store_dir_same_in_every_process(self):
+        """The IVF store is keyed by an md5 of the corpus path, not by the
+        per-process salted hash(): two interpreters with different hash
+        seeds pick the same directory."""
+        import os
+        import subprocess
+        import sys
+
+        code = ("from tantivy_ray.pipelines.queries import _ivf_store_dir;"
+                "print(_ivf_store_dir('corpus/sf1'))")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        dirs = {subprocess.run(
+            [sys.executable, "-c", code], cwd=root, check=True,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed)).stdout
+            for seed in ("1", "2")}
+        assert len(dirs) == 1
+
     @pytest.fixture(scope="class")
     def emb_ds(self):
         import ray.data as rd

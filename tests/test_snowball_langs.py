@@ -304,6 +304,33 @@ class TestGreek:
 
         assert greek_stem("υπολογιστης") == greek_stem("υπολογιστησ")
 
+    @pytest.mark.parametrize("word", ["οταν", "ειτε", "ησαν", "ομαι",
+                                      "ουμε", "όταν", "είτε"])
+    def test_all_suffix_word_keeps_normalized_form(self, word):
+        from tantivy_ray.analyzer.snowball_langs import (_EL_PRELUDE,
+                                                         greek_stem)
+
+        assert greek_stem(word) == word.translate(_EL_PRELUDE)
+
+    def test_no_word_stems_to_empty(self):
+        """Every suffix the algorithm strips, alone or after a short
+        stem, plus random words: the stem is never ''."""
+        import random
+
+        from tantivy_ray.analyzer import snowball_langs as sl
+
+        words = set(sl._EL_STEP6) | set(sl._EL_STEP7)
+        words |= {"αδεσ", "εδων", "ουδεσ", "εωσ", "ιων", "ικου", "ηθηκαμε",
+                  "ουσαμε", "αγαμε", "αμε", "ηθουμε", "ησουμε", "ουμε",
+                  "ματων", "ματα"}
+        words |= {p + w for w in list(words) for p in ("α", "ι", "σ")}
+        rnd = random.Random(5)
+        alpha = "αβγδεζηθικλμνξοπρστυφχψωςάέήίόύώ"
+        words |= {"".join(rnd.choice(alpha) for _ in range(rnd.randint(1, 9)))
+                  for _ in range(3000)}
+        empty = sorted(w for w in words if sl.greek_stem(w) == "")
+        assert not empty
+
 
 class TestArabic:
     @pytest.mark.parametrize("word,stem", [

@@ -183,7 +183,7 @@ def run_bench() -> dict:
     for _ in range(REPEATS):
         shutil.rmtree(merged, ignore_errors=True)
         t0 = time.time()
-        merge_segments(ix, merged, salt_block_docs=65_536, num_buckets=32)
+        merge_segments(ix, merged, salt_block_docs=65_536)
         t_merge = min(t_merge, time.time() - t0)
     stages["merge_groupby_term"] = round(t_merge, 3)
 

@@ -56,7 +56,7 @@ def main():
 
     # --- phrase search served from the MERGED index ---
     merged = tempfile.mkdtemp(prefix="pool_merged_")
-    merge_segments(idx, merged, salt_block_docs=100, num_buckets=4)
+    merge_segments(idx, merged, salt_block_docs=100)
     ms = MergedSearcher(merged, idx)
     s = IndexSearcher(idx)
     phrase = ["old", "man"]

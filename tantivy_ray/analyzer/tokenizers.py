@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, List
+from typing import List
 
 
 @dataclass
@@ -168,7 +168,3 @@ class PreTokenizedStream:
 
     def tokenize(self, _text: str) -> List[Token]:
         return list(self._tokens)
-
-
-def iter_tokens(tokens: List[Token]) -> Iterator[Token]:
-    return iter(tokens)

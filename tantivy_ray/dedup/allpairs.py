@@ -30,7 +30,6 @@ Used by the ``ngram_jaccard_dups`` contract entry; the brute-force
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
 import numpy as np
@@ -49,24 +48,6 @@ DEFAULT_BROADCAST_VOCAB_CAP = 5_000_000
 # two (bucket = low bits of the hash); sized so one bucket's rows fit a
 # worker heap comfortably even at 100-TB corpus scale.
 NUM_VERIFY_BUCKETS = 512
-
-
-def _hash_shingles(shingles) -> np.ndarray:
-    """Sorted unique uint64 hashes of a doc's shingle strings (single-doc
-    helper for tests; the pipeline path hashes whole batches at once via
-    ``_unique_hash_lists``).  Jaccard over 64-bit hashes equals
-    string-set jaccard up to ~1e-13 collision odds regardless of the
-    hash family, so the family only shapes candidate groups, never the
-    verified pair set."""
-    if not shingles:
-        return np.empty(0, dtype=np.uint64)
-    from .hashing import hash_strings64
-
-    return np.unique(hash_strings64(list(shingles)))
-
-
-def _prefix_len(n: int, threshold: float) -> int:
-    return n - int(math.ceil(threshold * n)) + 1
 
 
 def jaccard_allpairs_prefix(ds, text_col: str = "text",

@@ -17,6 +17,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+import numpy as np
+
 MANIFEST_NAME = "manifest.json"
 
 
@@ -34,6 +36,16 @@ class IndexManifest:
     @property
     def average_fieldnorm(self) -> float:
         return self.total_num_tokens / max(1, self.total_num_docs)
+
+    def field_average_fieldnorms(self) -> Dict[str, float]:
+        """Per-extra-field avg fieldnorm: Σ field tokens / total docs
+        (global, from per-segment field_stats)."""
+        totals: Dict[str, int] = {}
+        for s in self.segments:
+            for f, n in (s.get("field_stats") or {}).items():
+                totals[f] = totals.get(f, 0) + int(n)
+        return {f: float(np.float32(np.float32(n) / np.float32(
+            max(1, self.total_num_docs)))) for f, n in totals.items()}
 
     def to_dict(self) -> Dict:
         return {

@@ -7,10 +7,10 @@ src/termdict/fst_termdict/merger.rs used at src/indexer/merger.rs:668-675),
 and keeps total_num_tokens exact (merger.rs:66-108).
 
 Ray-Data-first shape: instead of iterative pairwise merges, ONE
-``groupby(term)`` exchange over posting fragments:
+``sort(term, salt)`` exchange over posting fragments:
 
-    segments → flat_map(explode per-term fragments) → groupby(group_key)
-             → map_groups(stack + re-encode) → term-bucketed parquet
+    segments → flat_map(explode per-term fragments) → sort(term, salt)
+             → map_batches(stack + re-encode) → term-range-sorted parquet
 
 Skew (north rule): web-text term frequencies are Zipfian — "the" appears in
 nearly every document, so a naive groupby sends ~N postings to one reducer.
@@ -22,14 +22,19 @@ because the parts cover disjoint, ascending global-doc-id ranges (doc ids
 are stacked by segment order, and salts split a segment's already-sorted
 list into contiguous runs).
 
+The global df table is a by-product of that one shuffle: each parts file
+holds one term range, so only a term whose salts fall on both sides of a
+file boundary needs a sum across files (``_carry_split_terms``).
+
 Output layout (term-range-sorted; reads pruned by parquet column stats):
     merged_dir/
         parts/*.parquet        (term, salt, doc_freq, first_doc,
                                 last_doc, doc_base, postings blob —
-                                sorted by term, so per-file/row-group
+                                one term range per file, so per-file
                                 min/max term statistics prune lookups)
-        term_stats/*.parquet   (term, doc_freq) — global df table,
-                                written distributed, term-sorted
+        term_stats/*.parquet   (term, doc_freq) — global df table, term-
+                                sorted across files in name order
+        fieldnorms/            per-segment (and per-extra-field) ids
         merged_meta.json        (written last = atomic commit marker;
                                 a partial merge without it is treated
                                 as absent and re-run from scratch)
@@ -39,11 +44,12 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 from ..bm25 import compute_tf_cache
 from .compression import (
@@ -54,10 +60,16 @@ from .compression import (
     gather_ranges,
 )
 from .manifest import load_manifest
-from .segment import SegmentReader, segment_dir_name
+from .segment import SegmentReader, segment_dir_name, term_fields
 
 DEFAULT_SALT_BLOCK_DOCS = 65_536  # max postings per (term, salt) sub-group
-DEFAULT_NUM_BUCKETS = 64
+DEFAULT_NUM_BUCKETS = 64  # unused; perfbench/layers.py still imports it
+
+
+def _doc_bases(manifest) -> Dict[int, int]:
+    """segment_ord → global doc base (segments stacked in manifest order)."""
+    bases = np.cumsum([0] + [s["num_docs"] for s in manifest.segments])
+    return {s["segment_ord"]: int(b) for s, b in zip(manifest.segments, bases)}
 
 
 class ExplodeSegment:
@@ -67,86 +79,93 @@ class ExplodeSegment:
     majority of a Zipfian vocabulary): the fragment is the term's RAW
     encoded blob sliced out of postings.bin plus a ``doc_base`` column;
     no posting is decoded (per-term bounds come from the terms.parquet
-    first_doc/last_doc columns, all salt/group-key math is vectorized).
-    Only head terms (df > salt_block_docs) and tombstoned segments take
-    the decode path, emitting raw global doc/tf/fid arrays."""
+    first_doc/last_doc columns, all salt math is vectorized).  Only head
+    terms (df > salt_block_docs) and tombstoned segments take the decode
+    path, emitting raw global doc/tf/fid arrays.
 
-    def __init__(self, index_dir: str, salt_block_docs: int, num_buckets: int):
+    ``num_buckets`` is ignored (the hash-bucket layout it sized is gone);
+    it stays only for callers that still pass it positionally."""
+
+    def __init__(self, index_dir: str, salt_block_docs: int,
+                 num_buckets: Optional[int] = None):
         self.index_dir = index_dir
         self.salt_block_docs = salt_block_docs
-        self.num_buckets = num_buckets
         self._doc_base: Optional[Dict[int, int]] = None
 
     def _doc_bases(self) -> Dict[int, int]:
         if self._doc_base is None:
-            manifest = load_manifest(self.index_dir)
-            base = 0
-            bases = {}
-            for s in manifest.segments:
-                bases[s["segment_ord"]] = base
-                base += s["num_docs"]
-            self._doc_base = bases
+            self._doc_base = _doc_bases(load_manifest(self.index_dir))
         return self._doc_base
 
-    def _decode_rows(self, reader, ords, base: int, rows: Dict) -> None:
+    def _decode_rows(self, reader: SegmentReader, ords: np.ndarray,
+                     base: int) -> Optional[pa.Table]:
         """Decode-path fragments (head terms / tombstoned segments):
         raw global doc/tf/fid arrays, chunked to salt_block_docs.
 
+        All terms decode in one ``decode_postings_batch`` call straight
+        from postings.bin; fieldnorm ids come from each term's field.
         Positions pass through as raw uint32 delta streams: the stream
         resets to an absolute value at every posting boundary, so slicing
         at posting boundaries (chunking, tombstone filtering) never needs
-        a re-encode — only the byte ranges move."""
-        alive = reader.alive_mask
-        arr = reader.term_array()
-        has_pos = reader._positions_blob is not None
-        for o in ords:
-            term = arr[int(o)].as_py()
-            docs, tfs = reader.postings(term)
-            raw_pos = None
-            if has_pos and reader._pos_off[int(o)] >= 0:
-                s0 = int(reader._pos_off[int(o)])
-                raw_pos = np.frombuffer(
-                    reader._positions_blob[
-                        s0:s0 + int(reader._pos_len[int(o)])],
-                    dtype=np.uint32)
-                # posting boundaries in the position stream (pre-filter)
-                bounds = np.concatenate(
-                    ([0], np.cumsum(tfs.astype(np.int64))))
-            kept_idx = None
-            if alive is not None and len(docs):
-                keep = alive[docs]
-                kept_idx = np.flatnonzero(keep)
-                docs, tfs = docs[keep], tfs[keep]
-                if len(docs) == 0:
-                    continue
-            fids = reader.fieldnorm_ids[docs]
-            gdocs = docs.astype(np.int64) + base
-            for start in range(0, len(gdocs), self.salt_block_docs):
-                end = min(start + self.salt_block_docs, len(gdocs))
-                chunk = gdocs[start:end]
-                salt = int(chunk[0]) // max(1, self.salt_block_docs)
-                rows["group_key"].append(f"{term}\x00{salt:012d}")
-                rows["term"].append(term)
-                rows["salt"].append(salt)
-                rows["doc_freq"].append(end - start)
-                rows["first_doc"].append(int(chunk[0]))
-                rows["last_doc"].append(int(chunk[-1]))
-                rows["doc_base"].append(0)
-                rows["segment_ord"].append(reader.segment_ord)
-                rows["blob"].append(b"")
-                rows["docs"].append(chunk.astype(np.int64).tobytes())
-                rows["tfs"].append(tfs[start:end].tobytes())
-                rows["fids"].append(fids[start:end].tobytes())
-                if raw_pos is None:
-                    rows["pos"].append(b"")
-                elif kept_idx is None:
-                    rows["pos"].append(
-                        raw_pos[bounds[start]:bounds[end]].tobytes())
-                else:
-                    sel = kept_idx[start:end]
-                    rows["pos"].append(np.concatenate(
-                        [raw_pos[bounds[i]:bounds[i + 1]] for i in sel]
-                    ).tobytes() if len(sel) else b"")
+        a re-encode — only the ranges move."""
+        S = max(1, self.salt_block_docs)
+        docs, tfs, cnt = decode_postings_batch(reader._postings,
+                                               reader._off[ords])
+        term_of = np.repeat(np.arange(len(ords)), cnt)
+        keep = (np.flatnonzero(reader.alive_mask[docs])
+                if reader.alive_mask is not None
+                else np.arange(len(docs)))
+        if len(keep) == 0:
+            return None
+        kt = term_of[keep]
+        kdocs = docs[keep]
+        terms = reader.term_array().take(pa.array(ords, type=pa.int64()))
+        fields = list(reader.meta.get("field_stats") or {})
+        tfield = term_fields(terms, fields)
+        fids = reader.fieldnorm_ids[kdocs]
+        for k in np.unique(tfield[tfield > 0]):
+            sel = tfield[kt] == k
+            fids[sel] = reader.fieldnorm_ids_for(fields[k - 1])[kdocs[sel]]
+
+        # salt chunks: each term's kept postings in runs of S
+        kcnt = np.bincount(kt, minlength=len(ords))
+        rank = np.arange(len(keep)) - (np.cumsum(kcnt) - kcnt)[kt]
+        n_chunks = -(-kcnt // S)
+        chunk = (np.cumsum(n_chunks) - n_chunks)[kt] + rank // S
+        ccnt = np.bincount(chunk)
+        c0 = np.cumsum(ccnt) - ccnt
+        gdocs = kdocs.astype(np.int64) + base
+        ktfs = tfs[keep]
+
+        n = len(ccnt)
+        empty = _binary_array(np.empty(0, dtype=np.uint8),
+                              np.zeros(n, dtype=np.int64))
+        pos_col = empty
+        if reader._positions_blob is not None:
+            # the terms' streams end to end are posting-aligned: posting
+            # i's positions start at the tfs summed before it
+            raw = np.asarray(reader._positions_blob).view(np.uint32)[
+                gather_ranges(reader._pos_off[ords] // 4,
+                              reader._pos_len[ords] // 4)]
+            p_start = np.cumsum(tfs, dtype=np.int64) - tfs
+            pos_col = _binary_array(
+                raw[gather_ranges(p_start[keep], ktfs)],
+                4 * np.add.reduceat(ktfs.astype(np.int64), c0))
+        first_doc = gdocs[c0]
+        return pa.Table.from_arrays([
+            terms.take(pa.array(kt[c0], type=pa.int64())).cast(pa.string()),
+            pa.array(first_doc // S, type=pa.int64()),
+            pa.array(ccnt, type=pa.int64()),
+            pa.array(first_doc, type=pa.int64()),
+            pa.array(gdocs[c0 + ccnt - 1], type=pa.int64()),
+            pa.array(np.zeros(n, dtype=np.int64)),
+            pa.array(np.full(n, reader.segment_ord, dtype=np.int64)),
+            empty,
+            _binary_array(gdocs, 8 * ccnt),
+            _binary_array(ktfs, 4 * ccnt),
+            _binary_array(fids, ccnt),
+            pos_col,
+        ], schema=_FRAGMENT_SCHEMA)
 
     def __call__(self, batch: pa.Table) -> Iterator[pa.Table]:
         bases = self._doc_bases()
@@ -157,26 +176,15 @@ class ExplodeSegment:
                 os.path.join(self.index_dir, segment_dir_name(seg_ord))
             )
             base = bases[seg_ord]
-            n_terms = reader.num_terms()
-            has_bounds = reader.term_first_doc is not None
-            no_deletes = reader.alive_mask is None
-            if has_bounds and no_deletes:
-                fast = reader._doc_freq.astype(np.int64) <= self.salt_block_docs
-            else:
-                fast = np.zeros(n_terms, dtype=bool)
-
-            rows: Dict[str, list] = {k: [] for k in (
-                "group_key", "term", "salt", "doc_freq", "first_doc",
-                "last_doc", "doc_base", "segment_ord", "blob",
-                "docs", "tfs", "fids", "pos",
-            )}
-            # decode path: head terms, or everything when tombstones /
-            # missing bounds force it
+            # decode path: head terms, or every term of a tombstoned
+            # segment
+            fast = ((reader._doc_freq.astype(np.int64) <= self.salt_block_docs)
+                    & (reader.alive_mask is None))
             slow_ords = np.flatnonzero(~fast)
             if len(slow_ords):
-                self._decode_rows(reader, slow_ords, base, rows)
-            slow_tbl = (pa.Table.from_pydict(
-                rows, schema=_FRAGMENT_SCHEMA) if rows["term"] else None)
+                slow_tbl = self._decode_rows(reader, slow_ords, base)
+                if slow_tbl is not None:
+                    batch_tbls.append(slow_tbl)
 
             fast_ords = np.flatnonzero(fast)
             if len(fast_ords):
@@ -190,55 +198,31 @@ class ExplodeSegment:
                 gfirst = reader.term_first_doc[fast_ords] + base
                 glast = reader.term_last_doc[fast_ords] + base
                 salts = gfirst // max(1, self.salt_block_docs)
-                terms = reader.term_array().take(
-                    pa.array(fast_ords, type=pa.int64())).cast(pa.string())
-                salt_str = pa.array(
-                    np.char.zfill(salts.astype("U12"), 12))
-                group_keys = pc.binary_join_element_wise(
-                    terms, salt_str, "\x00")
-                mv = memoryview(reader._postings)
-                offs = reader._off[fast_ords]
-                lens = reader._len[fast_ords]
-                blobs = [bytes(mv[o:o + l]) for o, l in zip(offs, lens)]
-                empty = [b""] * len(fast_ords)
-                if reader._positions_blob is not None:
-                    # positions pass through as raw slices too (doc-local
-                    # token offsets — nothing to rebase)
-                    pmv = memoryview(reader._positions_blob)
-                    pos_blobs = [
-                        bytes(pmv[o:o + l]) if o >= 0 else b""
-                        for o, l in zip(reader._pos_off[fast_ords],
-                                        reader._pos_len[fast_ords])
-                    ]
-                else:
-                    pos_blobs = empty
-                fast_tbl = pa.Table.from_arrays([
-                    group_keys,
-                    terms,
+                take = pa.array(fast_ords, type=pa.int64())
+                # a segment writes its term blobs end to end in term order:
+                # one Arrow take over a binary view of the whole file
+                # (positions likewise — doc-local, nothing to rebase)
+                empty = _binary_array(np.empty(0, dtype=np.uint8),
+                                      np.zeros(len(take), dtype=np.int64))
+                blobs = _binary_array(reader._postings, reader._len).take(take)
+                pos_blobs = (empty if reader._positions_blob is None else
+                             _binary_array(reader._positions_blob,
+                                           reader._pos_len).take(take))
+                batch_tbls.append(pa.Table.from_arrays([
+                    reader.term_array().take(take).cast(pa.string()),
                     pa.array(salts, type=pa.int64()),
                     pa.array(reader._doc_freq[fast_ords].astype(np.int64)),
                     pa.array(gfirst, type=pa.int64()),
                     pa.array(glast, type=pa.int64()),
-                    pa.array(np.full(len(fast_ords), base, dtype=np.int64)),
-                    pa.array(np.full(len(fast_ords), seg_ord,
-                                     dtype=np.int64)),
-                    pa.array(blobs, type=pa.large_binary()),
-                    pa.array(empty, type=pa.large_binary()),
-                    pa.array(empty, type=pa.large_binary()),
-                    pa.array(empty, type=pa.large_binary()),
-                    pa.array(pos_blobs, type=pa.large_binary()),
-                ], schema=_FRAGMENT_SCHEMA)
-            else:
-                fast_tbl = None
-
-            batch_tbls.extend(
-                t for t in (slow_tbl, fast_tbl) if t is not None)
+                    pa.array(np.full(len(take), base, dtype=np.int64)),
+                    pa.array(np.full(len(take), seg_ord, dtype=np.int64)),
+                    blobs, empty, empty, empty, pos_blobs,
+                ], schema=_FRAGMENT_SCHEMA))
         if batch_tbls:
             yield pa.concat_tables(batch_tbls)
 
 
 _FRAGMENT_SCHEMA = pa.schema([
-    ("group_key", pa.string()),
     ("term", pa.string()),
     ("salt", pa.int64()),
     ("doc_freq", pa.int64()),
@@ -256,18 +240,22 @@ _FRAGMENT_SCHEMA = pa.schema([
     ("pos", pa.large_binary()),
 ])
 
-# per-worker fieldnorm mmap cache for the reducer (keyed by segment dir;
-# np.memmap pages in only the bytes actually gathered)
+# per-worker fieldnorm mmap cache for the reducer (keyed by file; np.memmap
+# pages in only the bytes actually gathered)
 _FIELDNORM_CACHE: Dict[str, np.ndarray] = {}
 _FIELDNORM_CACHE_CAP = 128
 
 
-def _fieldnorms_for(index_dir: str, seg_ord: int) -> np.ndarray:
-    key = os.path.join(index_dir, segment_dir_name(seg_ord))
+def _fieldnorm_file(field: str) -> str:
+    return f"fieldnorms.{field}.bin" if field else "fieldnorms.bin"
+
+
+def _fieldnorms_for(index_dir: str, seg_ord: int, field: str) -> np.ndarray:
+    key = os.path.join(index_dir, segment_dir_name(seg_ord),
+                       _fieldnorm_file(field))
     hit = _FIELDNORM_CACHE.get(key)
     if hit is None:
-        hit = np.memmap(os.path.join(key, "fieldnorms.bin"),
-                        dtype=np.uint8, mode="r")
+        hit = np.memmap(key, dtype=np.uint8, mode="r")
         if len(_FIELDNORM_CACHE) >= _FIELDNORM_CACHE_CAP:
             _FIELDNORM_CACHE.pop(next(iter(_FIELDNORM_CACHE)))
         _FIELDNORM_CACHE[key] = hit
@@ -301,7 +289,8 @@ def _binary_view(col) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _binary_array(data: np.ndarray, lens: np.ndarray) -> pa.Array:
-    """large_binary array over values laid end to end (zero-copy)."""
+    """large_binary array over values laid end to end (zero-copy; ``lens``
+    in bytes)."""
     offsets = np.concatenate(([0], np.cumsum(lens))).astype(np.int64)
     return pa.Array.from_buffers(
         pa.large_binary(), len(lens),
@@ -309,25 +298,29 @@ def _binary_array(data: np.ndarray, lens: np.ndarray) -> pa.Array:
 
 
 def _reduce_fragment_block(tbl: pa.Table, avg_fieldnorm: float,
-                           index_dir: str) -> pa.Table:
+                           index_dir: str,
+                           field_avgs: Optional[Dict[str, float]] = None
+                           ) -> pa.Table:
     """Reduce ALL (term, salt) groups in one sorted block, vectorized.
 
-    The input block comes from ``sort("group_key")`` — the same
+    The input block comes from ``sort(["term", "salt"])`` — the same
     range-partitioned shuffle ray.data's own ``map_groups`` uses, which
     guarantees a group never straddles blocks.  Single-encoded-fragment
     groups (the overwhelming tail of a Zipfian vocabulary) are reduced
     with ONE ``take``: blob and doc_base pass through untouched — no
     decode, no re-encode, no per-group python.  All other groups are
     stacked and re-encoded by ``_reduce_groups``, a bounded batch of
-    groups per call."""
+    groups of one field per call.  ``avg_fieldnorm`` is the primary
+    field's global average, ``field_avgs`` each extra text field's; they
+    pick the block-max pairs of re-encoded postings."""
     n = tbl.num_rows
     if n == 0:
-        return pa.Table.from_pydict(
-            {f.name: [] for f in _MERGED_SCHEMA}, schema=_MERGED_SCHEMA)
-    keys = tbl.column("group_key").combine_chunks()
+        return _MERGED_SCHEMA.empty_table()
+    terms = tbl.column("term").combine_chunks()
+    salts = tbl.column("salt").to_numpy()
     change = np.ones(n, dtype=bool)
-    change[1:] = pc.not_equal(keys.slice(1), keys.slice(0, n - 1)).to_numpy(
-        zero_copy_only=False)
+    change[1:] = pc.not_equal(terms.slice(1), terms.slice(0, n - 1)).to_numpy(
+        zero_copy_only=False) | (salts[1:] != salts[:-1])
     starts = np.flatnonzero(change)
     ends = np.append(starts[1:], n)
     run_len = ends - starts
@@ -337,56 +330,56 @@ def _reduce_fragment_block(tbl: pa.Table, avg_fieldnorm: float,
     outs = []
     fast_idx = starts[single]
     if len(fast_idx):
-        fast = tbl.take(pa.array(fast_idx, type=pa.int64()))
-        outs.append(pa.Table.from_arrays([
-            fast.column("term").cast(pa.string()),
-            fast.column("salt").cast(pa.int64()),
-            fast.column("doc_freq").cast(pa.int64()),
-            fast.column("first_doc").cast(pa.int64()),
-            fast.column("last_doc").cast(pa.int64()),
-            fast.column("doc_base").cast(pa.int64()),
-            fast.column("blob").cast(pa.large_binary()),
-            fast.column("pos").cast(pa.large_binary()),
-        ], schema=_MERGED_SCHEMA))
+        outs.append(tbl.take(pa.array(fast_idx, type=pa.int64())).select(
+            ["term", "salt", "doc_freq", "first_doc", "last_doc",
+             "doc_base", "blob", "pos"]).rename_columns(
+                 _MERGED_SCHEMA.names).cast(_MERGED_SCHEMA))
 
     slow_starts = starts[~single]
     if len(slow_starts):
-        # rows of every remaining group, ordered by (group, first_doc):
-        # a group's fragments cover disjoint ascending doc ranges, so
-        # this order stacks them into one sorted posting list
         slow_len = run_len[~single]
-        group = np.repeat(np.arange(len(slow_starts)), slow_len)
-        rows = gather_ranges(slow_starts, slow_len)
-        rows = rows[np.lexsort((tbl.column("first_doc").to_numpy()[rows],
-                                group))]
-        row0 = np.cumsum(slow_len) - slow_len
-        group_df = np.add.reduceat(
-            tbl.column("doc_freq").to_numpy()[rows], row0)
+        fields = list(field_avgs or {})
+        avgs = [avg_fieldnorm] + [field_avgs[f] for f in fields]
+        group_field = term_fields(
+            terms.take(pa.array(slow_starts, type=pa.int64())), fields)
+        first_doc = tbl.column("first_doc").to_numpy()
+        doc_freq = tbl.column("doc_freq").to_numpy()
         cols = {name: _binary_view(tbl.column(name))
-                for name in ("blob", "docs", "tfs", "fids", "pos")
-                if name in tbl.column_names}
-        cache = compute_tf_cache(np.float32(avg_fieldnorm))
-        bounds = batch_bounds(group_df)
-        for g0, g1 in zip(bounds[:-1], bounds[1:]):
-            r1 = row0[g1] if g1 < len(row0) else len(rows)
-            outs.append(_reduce_groups(
-                tbl, cols, rows[row0[g0]:r1], slow_len[g0:g1],
-                slow_starts[g0:g1], cache, index_dir))
+                for name in ("blob", "docs", "tfs", "fids", "pos")}
+        for k in np.unique(group_field):
+            sel = group_field == k
+            g_starts, g_len = slow_starts[sel], slow_len[sel]
+            # rows of the field's groups, ordered by (group, first_doc):
+            # a group's fragments cover disjoint ascending doc ranges, so
+            # this order stacks them into one sorted posting list
+            rows = gather_ranges(g_starts, g_len)
+            rows = rows[np.lexsort((first_doc[rows], np.repeat(
+                np.arange(len(g_starts)), g_len)))]
+            row0 = np.cumsum(g_len) - g_len
+            cache = compute_tf_cache(np.float32(avgs[k]))
+            bounds = batch_bounds(np.add.reduceat(doc_freq[rows], row0))
+            for g0, g1 in zip(bounds[:-1], bounds[1:]):
+                r1 = row0[g1] if g1 < len(row0) else len(rows)
+                outs.append(_reduce_groups(
+                    tbl, cols, rows[row0[g0]:r1], g_len[g0:g1],
+                    g_starts[g0:g1], cache, index_dir,
+                    ([""] + fields)[k]))
     return pa.concat_tables(outs)
 
 
 def _reduce_groups(tbl: pa.Table, cols: Dict, rows: np.ndarray,
                    run_len: np.ndarray, group_rows: np.ndarray,
-                   cache: np.ndarray, index_dir: str) -> pa.Table:
-    """Stack and re-encode a batch of groups in one pass.
+                   cache: np.ndarray, index_dir: str,
+                   field: str) -> pa.Table:
+    """Stack and re-encode a batch of groups of one field in one pass.
 
     ``rows`` are the groups' fragment rows, group after group, each
     group's in ascending first_doc order (``run_len`` rows per group;
     ``group_rows`` is each group's first row in the block).  Encoded
     fragments are decoded in one batch straight from the ``blob``
     column's Arrow buffers, their fieldnorm ids gathered per source
-    segment (a per-worker mmap of its fieldnorms.bin); decode-path
-    fragments carry raw global docs/tfs/fids."""
+    segment from the field's fieldnorm file (a per-worker mmap);
+    decode-path fragments carry raw global docs/tfs/fids."""
     seg_np = tbl.column("segment_ord").to_numpy()[rows]
     base_np = tbl.column("doc_base").to_numpy()[rows]
     blob_data, blob_offs = cols["blob"]
@@ -397,7 +390,7 @@ def _reduce_groups(tbl: pa.Table, cols: Dict, rows: np.ndarray,
     fids_e = np.empty(len(docs_e), dtype=np.uint8)
     for seg in np.unique(seg_np[enc]):
         sel = seg_e == seg
-        fids_e[sel] = _fieldnorms_for(index_dir, int(seg))[docs_e[sel]]
+        fids_e[sel] = _fieldnorms_for(index_dir, int(seg), field)[docs_e[sel]]
 
     raw = rows[~enc]
     docs_offs = cols["docs"][1]
@@ -442,15 +435,11 @@ def _reduce_groups(tbl: pa.Table, cols: Dict, rows: np.ndarray,
     # is posting-aligned and resets to absolute at posting boundaries);
     # if ANY fragment lacks positions the merged term drops them
     # (mixed-build segments)
-    if "pos" in cols:
-        pos_data, pos_offs = cols["pos"]
-        plen = pos_offs[rows + 1] - pos_offs[rows]
-        keep = np.repeat(np.minimum.reduceat(plen > 0, row0), run_len)
-        pos = pos_data[gather_ranges(pos_offs[rows[keep]], plen[keep])]
-        pos_lens = np.add.reduceat(np.where(keep, plen, 0), row0)
-    else:
-        pos = np.empty(0, dtype=np.uint8)
-        pos_lens = np.zeros(len(run_len), dtype=np.int64)
+    pos_data, pos_offs = cols["pos"]
+    plen = pos_offs[rows + 1] - pos_offs[rows]
+    keep = np.repeat(np.minimum.reduceat(plen > 0, row0), run_len)
+    pos = pos_data[gather_ranges(pos_offs[rows[keep]], plen[keep])]
+    pos_lens = np.add.reduceat(np.where(keep, plen, 0), row0)
     return pa.Table.from_arrays([
         tbl.column("term").take(pa.array(group_rows, type=pa.int64()))
         .cast(pa.string()),
@@ -465,19 +454,95 @@ def _reduce_groups(tbl: pa.Table, cols: Dict, rows: np.ndarray,
     ], schema=_MERGED_SCHEMA)
 
 
+Edge = Tuple[Optional[str], int, Optional[str], int]
+
+
+def _sum_term_stats(path: str) -> Tuple[Edge, pa.Table]:
+    """One parts file's df summed per term (term-sorted) and its edge
+    ``(first_term, first_df, last_term, n_rows)``."""
+    g = pq.read_table(path, columns=["term", "doc_freq"]).group_by(
+        "term").aggregate([("doc_freq", "sum")])
+    s = pa.table([g["term"], g["doc_freq_sum"]],
+                 names=["term", "doc_freq"]).sort_by("term")
+    t, df = s["term"], s["doc_freq"]
+    return ((t[0].as_py(), df[0].as_py(), t[-1].as_py(), len(t))
+            if len(t) else (None, 0, None, 0)), s
+
+
+def _carry_split_terms(edges: Sequence[Edge]) -> List[Tuple[int, bool, int]]:
+    """Plan the term_stats files from the parts files' edges.
+
+    The parts sort range-partitions by (term, salt), so the files cover
+    consecutive term ranges that share at most a boundary term — one
+    whose salts fell on both sides of a cut.  → ``(file, drop_first,
+    add_last)`` per non-empty file, in term order: a file that starts
+    with the previous file's last term drops that row, and its df is
+    added to the last row of the FIRST file holding the term (a head
+    term can fill whole files, so a carry can span several).  Raises
+    ValueError when two files' ranges overlap beyond one boundary term."""
+    order = sorted((i for i, e in enumerate(edges) if e[3]),
+                   key=lambda i: (edges[i][0], edges[i][2]))
+    plan, owner = [], 0   # owner: the plan entry whose last term is open
+    for i in order:
+        first, first_df, _, n_rows = edges[i]
+        open_term = edges[plan[owner][0]][2] if plan else None
+        if plan and first < open_term:
+            raise ValueError(f"parts files overlap: a term range starts "
+                             f"at {first!r} < {open_term!r}")
+        drop = first == open_term
+        if drop:
+            plan[owner][2] += first_df
+        plan.append([i, drop, 0])
+        if not (drop and n_rows == 1):
+            owner = len(plan) - 1
+    return [tuple(p) for p in plan]
+
+
+def _write_term_stats(stats: pa.Table, drop_first: bool, add_last: int,
+                      path: str) -> int:
+    """Write one term_stats file after its carry; → rows written."""
+    if drop_first:
+        stats = stats.slice(1)
+    if add_last:
+        df = stats.column("doc_freq").to_numpy().copy()
+        df[-1] += add_last
+        stats = stats.set_column(1, "doc_freq", pa.array(df))
+    pq.write_table(stats, path)
+    return stats.num_rows
+
+
+def _copy_fieldnorms(index_dir: str, fn_dir: str,
+                     segs: Sequence[Tuple[int, Sequence[str]]]) -> int:
+    """Copy each (segment_ord, extra fields) segment's fieldnorm files."""
+    import shutil
+
+    for o, fields in segs:
+        for f in ("", *fields):
+            shutil.copyfile(
+                os.path.join(index_dir, segment_dir_name(o),
+                             _fieldnorm_file(f)),
+                os.path.join(fn_dir, f"seg_{o:06d}.{f}.bin" if f
+                             else f"seg_{o:06d}.bin"))
+    return len(segs)
+
+
 def merge_segments(
     index_dir: str,
     merged_dir: str,
     salt_block_docs: int = DEFAULT_SALT_BLOCK_DOCS,
-    num_buckets: int = DEFAULT_NUM_BUCKETS,
 ) -> Dict:
     """Run the groupby-term merge. Returns merged meta dict."""
+    import glob
+    import shutil
+
+    import ray
     import ray.data as rd
 
     from ..utils import remote_args
 
     manifest = load_manifest(index_dir)
     avg = manifest.average_fieldnorm
+    field_avgs = manifest.field_average_fieldnorms()
     os.makedirs(merged_dir, exist_ok=True)
 
     items = [{"segment_ord": s["segment_ord"]} for s in manifest.segments]
@@ -487,7 +552,7 @@ def merge_segments(
     n_blocks = max(1, min(len(items), 32))
     segs = rd.from_items(items, override_num_blocks=n_blocks)
     fragments = segs.map_batches(
-        ExplodeSegment(index_dir, salt_block_docs, num_buckets),
+        ExplodeSegment(index_dir, salt_block_docs),
         batch_size=None,
         batch_format="pyarrow",
         retry_exceptions=True,
@@ -495,15 +560,14 @@ def merge_segments(
         **remote_args(),
     )
 
-    # sort(group_key) + whole-block map = ray.data map_groups' own
+    # sort(term, salt) + whole-block map = ray.data map_groups' own
     # topology, but the block reducer handles all groups vectorized
     # (single-fragment groups = one take, no per-group python).  The sort
-    # range-partitions by group_key, so each output block is a contiguous
-    # TERM RANGE — written as-is, parquet column statistics (min/max term
-    # per file/row-group) give the same read pruning the old hash-bucket
-    # partitioning did, without the blocks x buckets small-file explosion.
-    merged = fragments.sort("group_key").map_batches(
-        lambda t: _reduce_fragment_block(t, avg, index_dir),
+    # range-partitions by (term, salt), so each output block is a
+    # contiguous TERM RANGE — written as-is, parquet column statistics
+    # (min/max term per file/row-group) prune reads.
+    merged = fragments.sort(["term", "salt"]).map_batches(
+        lambda t: _reduce_fragment_block(t, avg, index_dir, field_avgs),
         batch_size=None,
         batch_format="pyarrow",
         retry_exceptions=True,   # explode/reduce are deterministic —
@@ -511,62 +575,45 @@ def merge_segments(
         **remote_args(),
     )
     parts_dir = os.path.join(merged_dir, "parts")
-    import shutil
-
     shutil.rmtree(parts_dir, ignore_errors=True)
     merged.write_parquet(parts_dir, row_group_size=4096)
 
-    # global term stats: distributed groupby + sorted write (the vocab
-    # never lands on the driver — at web scale it is GBs).  Bounded block
-    # count: sort/groupby fixed cost scales with input block count.
-    stats_ds = rd.read_parquet(
-        parts_dir, columns=["term", "doc_freq"],
-        override_num_blocks=max(4, min(64, len(items) // 8)),
-    )
-    from ray.data.aggregate import Sum
-
-    stats = (stats_ds.groupby("term")
-             .aggregate(Sum("doc_freq", alias_name="doc_freq"))
-             .sort("term"))
+    # global term stats, a by-product of the sort above: one task sums
+    # each parts file, the driver plans carries from one edge per file,
+    # and one task per file writes its stats (the vocab never lands on
+    # the driver — at web scale it is GBs)
+    opts = remote_args()
+    summed = [ray.remote(num_returns=2)(_sum_term_stats).options(
+        **opts).remote(p)
+        for p in sorted(glob.glob(os.path.join(parts_dir, "*.parquet")))]
+    plan = _carry_split_terms(ray.get([e for e, _ in summed]))
     stats_dir = os.path.join(merged_dir, "term_stats")
     shutil.rmtree(stats_dir, ignore_errors=True)
-    stats.write_parquet(stats_dir)
-    num_terms = sum(
-        f.metadata.num_rows for f in _stats_fragments(stats_dir))
+    os.makedirs(stats_dir)
+    write = ray.remote(_write_term_stats).options(**opts)
+    num_terms = sum(ray.get([
+        write.remote(summed[i][1], drop, add,
+                     os.path.join(stats_dir, f"part-{k:06d}.parquet"))
+        for k, (i, drop, add) in enumerate(plan)]))
 
-    # self-containment: copy per-segment fieldnorm bytes (one small Ray
+    # self-containment: copy per-segment fieldnorm files (one small Ray
     # task per chunk of segments — never concatenated on the driver) and
     # record the segment → global-doc-base map, so the merged output can
     # SERVE without the source index open (the reference's merged segment
     # likewise carries its own fieldnorm file)
-    import ray as _ray
-
     fn_dir = os.path.join(merged_dir, "fieldnorms")
     shutil.rmtree(fn_dir, ignore_errors=True)
     os.makedirs(fn_dir, exist_ok=True)
+    fn_segs = [(s["segment_ord"], list(s.get("field_stats") or {}))
+               for s in manifest.segments]
+    copy = ray.remote(_copy_fieldnorms).options(**opts)
+    ray.get([copy.remote(index_dir, fn_dir, fn_segs[i::8])
+             for i in range(8) if fn_segs[i::8]])
 
-    @_ray.remote
-    def copy_fieldnorms(ords_chunk):
-        for o in ords_chunk:
-            src = os.path.join(index_dir, segment_dir_name(o),
-                               "fieldnorms.bin")
-            shutil.copyfile(
-                src, os.path.join(fn_dir, f"seg_{o:06d}.bin"))
-        return len(ords_chunk)
-
-    all_ords = [s["segment_ord"] for s in manifest.segments]
-    chunks = [all_ords[i::8] for i in range(8) if all_ords[i::8]]
-    _ray.get([copy_fieldnorms.options(**remote_args()).remote(c)
-              for c in chunks])
-
-    seg_meta = []
-    base = 0
-    for s in manifest.segments:
-        seg_meta.append({"segment_ord": s["segment_ord"],
-                         "doc_base": base,
-                         "num_docs": s["num_docs"]})
-        base += s["num_docs"]
-
+    bases = _doc_bases(manifest)
+    seg_meta = [{"segment_ord": s["segment_ord"],
+                 "doc_base": bases[s["segment_ord"]],
+                 "num_docs": s["num_docs"]} for s in manifest.segments]
     meta = {
         "source_index": index_dir,
         "num_terms": int(num_terms),
@@ -574,7 +621,6 @@ def merge_segments(
         "total_num_tokens": manifest.total_num_tokens,
         "segments": seg_meta,
         "salt_block_docs": salt_block_docs,
-        "num_buckets": num_buckets,
     }
     tmp = os.path.join(merged_dir, "merged_meta.json.tmp")
     with open(tmp, "w") as f:
@@ -587,7 +633,7 @@ class MergedSearcher:
     """BM25 top-k served from the term-partitioned merged output.
 
     Postings come from the merged super-segments (already global doc ids,
-    bucket-pruned reads); fieldnorms and global stats come from the source
+    term-range-pruned reads); fieldnorms and global stats come from the source
     index.  Results are identical to IndexSearcher over the unmerged
     segments (same postings, same f32 kernel) — the demonstration that
     the wide groupby-term merge yields a servable index."""
@@ -618,9 +664,7 @@ class MergedSearcher:
             parts = [np.memmap(
                 os.path.join(fn_dir, f"seg_{s['segment_ord']:06d}.bin"),
                 dtype=np.uint8, mode="r") for s in segs]
-            bases = np.zeros(len(segs) + 1, dtype=np.int64)
-            for i, s in enumerate(segs):
-                bases[i + 1] = bases[i] + int(s["num_docs"])
+            bases = np.cumsum([0] + [int(s["num_docs"]) for s in segs])
             fids = (np.concatenate([np.asarray(p) for p in parts])
                     if parts else np.empty(0, np.uint8))
             self._gv = {"bases": bases, "fids": fids, "alive": None}
@@ -719,36 +763,23 @@ class MergedSearcher:
         return self._topk_hits(docs, scores, k)
 
 
-def _stats_fragments(stats_dir: str):
-    import glob
-
-    import pyarrow.parquet as pq
-
-    for p in sorted(glob.glob(os.path.join(stats_dir, "*.parquet"))):
-        yield pq.ParquetFile(p)
-
-
 class MergedIndexReader:
-    """Lookup over the merged, term-partitioned postings (bucket pruning:
-    only the term's hash bucket is read)."""
+    """Lookup over the merged, term-range-partitioned postings (reads
+    pruned by per-file / row-group term statistics)."""
 
     def __init__(self, merged_dir: str):
-        import pyarrow.parquet as pq
+        import glob
+
+        import pyarrow.dataset as pads
 
         self.merged_dir = merged_dir
         with open(os.path.join(merged_dir, "merged_meta.json")) as f:
             self.meta = json.load(f)
-        self._legacy_buckets = os.path.isdir(
-            os.path.join(merged_dir, "parts", "bucket=0"))
         self._parts_dset = None
-        stats_dir = os.path.join(merged_dir, "term_stats")
-        legacy = os.path.join(merged_dir, "term_stats.parquet")
-        if os.path.isdir(stats_dir):
-            import pyarrow.dataset as pads
-
-            self._stats = pads.dataset(stats_dir).to_table()
-        else:
-            self._stats = pq.read_table(legacy)
+        # term_stats files in name order are strictly term-sorted
+        self._stats = pads.dataset(sorted(glob.glob(os.path.join(
+            merged_dir, "term_stats", "*.parquet"))),
+            format="parquet").to_table()
         # sorted term order: binary search for large vocab, dict for small
         self._terms_arr = self._stats.column("term").combine_chunks()
         self._dfs = self._stats.column("doc_freq").to_numpy()
@@ -818,34 +849,26 @@ class MergedIndexReader:
         [(first_doc, postings_blob, doc_base, pos_stream)].  Reads are
         pruned to the files / row groups whose [min_term, max_term]
         parquet statistics can contain the term (the output is term-range
-        sorted); legacy hash-bucket layouts prune by bucket directory."""
+        sorted)."""
         import pyarrow.dataset as pads
-        import zlib
 
         hit = getattr(self, "_row_cache", None)
         if hit is None:
             hit = self._row_cache = {}
         if term in hit:
             return hit[term]
-        parts = os.path.join(self.merged_dir, "parts")
-        if self._legacy_buckets:
-            bucket = zlib.crc32(term.encode()) % self.meta["num_buckets"]
-            dset = pads.dataset(os.path.join(parts, f"bucket={bucket}"))
-        else:
-            if self._parts_dset is None:
-                self._parts_dset = pads.dataset(parts)
-            dset = self._parts_dset
-        t = dset.to_table(filter=pads.field("term") == term)
+        if self._parts_dset is None:
+            self._parts_dset = pads.dataset(
+                os.path.join(self.merged_dir, "parts"))
+        t = self._parts_dset.to_table(filter=pads.field("term") == term)
         if t.num_rows == 0:
             rows = None
         else:
-            bases = (t.column("doc_base").to_pylist()
-                     if "doc_base" in t.column_names else [0] * t.num_rows)
-            poss = (t.column("pos").to_pylist()
-                    if "pos" in t.column_names else [b""] * t.num_rows)
             rows = sorted(zip(
                 t.column("first_doc").to_pylist(),
-                t.column("postings").to_pylist(), bases, poss,
+                t.column("postings").to_pylist(),
+                t.column("doc_base").to_pylist(),
+                t.column("pos").to_pylist(),
             ), key=lambda r: r[0])
         if len(hit) > 256:
             hit.pop(next(iter(hit)))
@@ -871,31 +894,14 @@ class MergedIndexReader:
 
     def positions(self, term: str):
         """Per-posting position arrays (absolute, doc order) from the
-        merged position streams — same decode as SegmentReader.positions
-        (delta within a posting, absolute at posting boundaries), so the
-        merged index can serve PhraseQuery.  None when any contributing
-        fragment was built without positions."""
-        if not self.has_term(term):
+        merged position streams, so the merged index can serve
+        PhraseQuery.  None when any contributing fragment was built
+        without positions."""
+        pf = self.positions_flat(term)
+        if pf is None:
             return None
-        rows = self._term_rows(term)
-        if rows is None:
-            return None
-        streams = [r[3] or b"" for r in rows]
-        if not all(streams):
-            return None
-        raw = np.frombuffer(b"".join(streams), dtype=np.uint32)
-        p = self.postings(term)
-        if p is None:
-            return None
-        _, tfs = p
-        if int(tfs.sum()) != len(raw):
-            return None  # stream/posting misalignment: refuse to serve
-        out = []
-        idx = 0
-        for tf in tfs:
-            out.append(np.cumsum(raw[idx:idx + int(tf)], dtype=np.uint32))
-            idx += int(tf)
-        return out
+        _, _, flat, offs = pf
+        return [flat[offs[i]:offs[i + 1]] for i in range(len(offs) - 1)]
 
     def positions_flat(self, term: str):
         """(docs, tfs, flat_abs_positions, offsets) — the vectorized

@@ -50,6 +50,16 @@ def segment_dir_name(segment_ord: int) -> str:
     return f"{SEGMENT_PREFIX}{segment_ord:05d}"
 
 
+def term_fields(terms: pa.Array, fields: List[str]) -> np.ndarray:
+    """Each term's field as an index into ``["", *fields]``: extra-field
+    terms carry a ``field\\x00`` prefix, primary-field terms none."""
+    out = np.zeros(len(terms), dtype=np.int64)
+    for k, fname in enumerate(fields, 1):
+        out[pc.starts_with(terms, fname + "\x00").to_numpy(
+            zero_copy_only=False)] = k
+    return out
+
+
 def build_segment_from_table(
     table: pa.Table,
     segment_ord: int,
@@ -203,11 +213,7 @@ def build_segment_from_table(
         # field's ``field\x00``-prefixed terms sort into one contiguous
         # run, so the batched encoder runs once per run
         fields = list(field_fids)
-        term_field = np.zeros(len(term_starts), dtype=np.int64)
-        for k, fname in enumerate(fields[1:], 1):
-            term_field[pc.starts_with(
-                terms_sorted, fname + "\x00").to_numpy(
-                    zero_copy_only=False)] = k
+        term_field = term_fields(terms_sorted, fields[1:])
         run_starts = np.flatnonzero(np.diff(term_field, prepend=-1))
         run_ends = np.append(run_starts[1:], len(term_starts))
         blobs, lens = [], []
@@ -342,14 +348,9 @@ class SegmentReader:
         self._len = tt.column("postings_len").to_numpy()
         self._pos_off = tt.column("positions_offset").to_numpy()
         self._pos_len = tt.column("positions_len").to_numpy()
-        # per-term posting bounds (segments built before these columns
-        # existed fall back to decoding in the merge explode stage)
-        if "first_doc" in tt.column_names:
-            self.term_first_doc = tt.column("first_doc").to_numpy()
-            self.term_last_doc = tt.column("last_doc").to_numpy()
-        else:
-            self.term_first_doc = None
-            self.term_last_doc = None
+        # per-term posting bounds (the merge explode's fast path)
+        self.term_first_doc = tt.column("first_doc").to_numpy()
+        self.term_last_doc = tt.column("last_doc").to_numpy()
 
         p = os.path.join(seg_path, "postings.bin")
         self._postings = (

@@ -234,7 +234,7 @@ def q_topk_bm25_merged(sf_dir: str) -> pa.Table:
     idx = build_docs_index(sf_dir)
     merged = idx + "_merged"
     if not os.path.exists(os.path.join(merged, "merged_meta.json")):
-        merge_segments(idx, merged, salt_block_docs=4096, num_buckets=8)
+        merge_segments(idx, merged, salt_block_docs=4096)
     ms = MergedSearcher(merged)  # standalone: no index_dir
     rows = []
     for qid, terms, mode, k in DOC_QUERIES:

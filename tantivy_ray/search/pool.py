@@ -25,7 +25,6 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 from ..utils import remote_args

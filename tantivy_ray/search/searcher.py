@@ -387,17 +387,7 @@ class IndexSearcher:
         return self.search(terms, mode, k, use_wand=use_wand)
 
     def field_average_fieldnorms(self) -> Dict[str, float]:
-        """Per-extra-field avg fieldnorm: Σ field tokens / total docs
-        (global, from per-segment field_stats)."""
-        out: Dict[str, float] = {}
-        totals: Dict[str, int] = {}
-        for s in self.manifest.segments:
-            for f, n in (s.get("field_stats") or {}).items():
-                totals[f] = totals.get(f, 0) + int(n)
-        for f, n in totals.items():
-            out[f] = float(np.float32(np.float32(n) / np.float32(
-                max(1, self.total_num_docs))))
-        return out
+        return self.manifest.field_average_fieldnorms()
 
     def resolve_doc_keys(self, pairs, id_col: str = "doc_id") -> List:
         """Original doc keys for (segment_ord, local_doc_id) pairs.

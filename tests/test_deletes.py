@@ -71,7 +71,7 @@ class TestDeleteByTerm:
     def test_merge_drops_deleted(self, idx, tmp_path):
         delete_by_term(idx, "dup")
         merged = str(tmp_path / "merged")
-        merge_segments(idx, merged, num_buckets=4)
+        merge_segments(idx, merged)
         r = MergedIndexReader(merged)
         assert r.postings("dup") is None or r.doc_freq("dup") == 0
 

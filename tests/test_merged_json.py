@@ -20,7 +20,7 @@ class TestMergedSearcher:
         idx = str(tmp_path / "ix")
         build_index(DOCS, idx, id_col="doc_id", docs_per_segment=120)
         merged = str(tmp_path / "merged")
-        merge_segments(idx, merged, salt_block_docs=200, num_buckets=8)
+        merge_segments(idx, merged, salt_block_docs=200)
         ms = MergedSearcher(merged, idx)
         s = IndexSearcher(idx)
         for terms, mode, k in [
@@ -42,7 +42,7 @@ class TestMergedSearcher:
         merged = str(tmp_path / "mergedp")
         # tiny salt block: head terms split into salted chunks (decode
         # path) and tail terms from 5 segments stack (multi-fragment path)
-        merge_segments(idx, merged, salt_block_docs=200, num_buckets=8)
+        merge_segments(idx, merged, salt_block_docs=200)
         ms = MergedSearcher(merged, idx)
         s = IndexSearcher(idx)
         checked = 0
@@ -67,7 +67,7 @@ class TestMergedSearcher:
         build_index(DOCS, idx, id_col="doc_id", docs_per_segment=120,
                     record_positions=True)
         merged = str(tmp_path / "mergeds")
-        merge_segments(idx, merged, salt_block_docs=200, num_buckets=8)
+        merge_segments(idx, merged, salt_block_docs=200)
         backed = MergedSearcher(merged, idx)
         standalone = MergedSearcher(merged)  # no index_dir
         s = IndexSearcher(idx)
@@ -92,7 +92,7 @@ class TestMergedSearcher:
         idx = str(tmp_path / "ixa")
         build_index(DOCS, idx, id_col="doc_id", docs_per_segment=120)
         merged = str(tmp_path / "mergeda")
-        merge_segments(idx, merged, salt_block_docs=200, num_buckets=8)
+        merge_segments(idx, merged, salt_block_docs=200)
         from tantivy_ray.index.merge import MergedIndexReader
 
         ms = MergedSearcher(merged, idx)
@@ -121,7 +121,7 @@ class TestMergedSearcher:
                     record_positions=True)
         delete_by_term(idx, "table")   # forces the tombstone decode path
         merged = str(tmp_path / "mergedd")
-        merge_segments(idx, merged, salt_block_docs=200, num_buckets=8)
+        merge_segments(idx, merged, salt_block_docs=200)
         ms = MergedSearcher(merged, idx)
         s = IndexSearcher(idx)
         for phrase in [["of", "the"], ["in", "the"]]:

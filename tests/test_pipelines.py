@@ -90,8 +90,7 @@ class TestMerge:
     def test_merge_equivalence(self, pages_index, tmp_path):
         merged_dir = str(tmp_path / "merged")
         # small salt block to force salting of head terms
-        meta = merge_segments(pages_index, merged_dir, salt_block_docs=100,
-                              num_buckets=8)
+        meta = merge_segments(pages_index, merged_dir, salt_block_docs=100)
         m = load_manifest(pages_index)
         r = MergedIndexReader(merged_dir)
         s = IndexSearcher(pages_index)

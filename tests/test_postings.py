@@ -490,7 +490,8 @@ def _reference_reduce(tbl, avg_fieldnorm, index_dir):
     recs = tbl.to_pylist()
     groups, s = [], 0
     for i in range(1, len(recs) + 1):
-        if i == len(recs) or recs[i]["group_key"] != recs[s]["group_key"]:
+        if i == len(recs) or (recs[i]["term"], recs[i]["salt"]) != (
+                recs[s]["term"], recs[s]["salt"]):
             groups.append((s, i))
             s = i
     fast, slow = [], []
@@ -556,9 +557,9 @@ class TestBatchedReducer:
             np.uint32).tobytes() if with_pos else b"")
         gdocs = docs.astype(np.int64) + base
         salt = int(gdocs[0]) // self.SALT
-        row = {"group_key": f"{term}\x00{salt:012d}", "term": term,
-               "salt": salt, "doc_freq": n, "first_doc": int(gdocs[0]),
-               "last_doc": int(gdocs[-1]), "segment_ord": seg, "pos": pos}
+        row = {"term": term, "salt": salt, "doc_freq": n,
+               "first_doc": int(gdocs[0]), "last_doc": int(gdocs[-1]),
+               "segment_ord": seg, "pos": pos}
         if encoded:
             fids = rng.integers(0, 256, size=int(docs.max()) + 1,
                                 dtype=np.uint8)
@@ -575,10 +576,10 @@ class TestBatchedReducer:
     def _block(self, rows, rng):
         from tantivy_ray.index.merge import _FRAGMENT_SCHEMA
 
-        # shuffle, then a stable sort by group key (as the merge's sort
+        # shuffle, then a stable sort by (term, salt) (as the merge's sort
         # delivers): fragments of a group arrive in no particular order
         rows = [rows[i] for i in rng.permutation(len(rows))]
-        rows.sort(key=lambda r: r["group_key"])
+        rows.sort(key=lambda r: (r["term"], r["salt"]))
         return pa.Table.from_pylist(rows, schema=_FRAGMENT_SCHEMA)
 
     def test_matches_per_group_reference(self, tmp_path):

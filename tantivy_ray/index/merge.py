@@ -327,9 +327,13 @@ def _reduce_fragment_block(tbl: pa.Table, avg_fieldnorm: float,
     blob_len = pc.binary_length(tbl.column("blob")).to_numpy()
     single = (run_len == 1) & (blob_len[starts] > 0)
 
-    outs = []
+    # each output piece with its groups' first rows, so the block can be
+    # put back in (term, salt) order: parts files stay sorted inside and
+    # their row groups' term ranges stay disjoint
+    outs, keys = [], []
     fast_idx = starts[single]
     if len(fast_idx):
+        keys.append(fast_idx)
         outs.append(tbl.take(pa.array(fast_idx, type=pa.int64())).select(
             ["term", "salt", "doc_freq", "first_doc", "last_doc",
              "doc_base", "blob", "pos"]).rename_columns(
@@ -360,11 +364,16 @@ def _reduce_fragment_block(tbl: pa.Table, avg_fieldnorm: float,
             bounds = batch_bounds(np.add.reduceat(doc_freq[rows], row0))
             for g0, g1 in zip(bounds[:-1], bounds[1:]):
                 r1 = row0[g1] if g1 < len(row0) else len(rows)
+                keys.append(g_starts[g0:g1])
                 outs.append(_reduce_groups(
                     tbl, cols, rows[row0[g0]:r1], g_len[g0:g1],
                     g_starts[g0:g1], cache, index_dir,
                     ([""] + fields)[k]))
-    return pa.concat_tables(outs)
+    out = pa.concat_tables(outs)
+    if len(outs) == 1:
+        return out
+    return out.take(pa.array(np.argsort(np.concatenate(keys)),
+                             type=pa.int64()))
 
 
 def _reduce_groups(tbl: pa.Table, cols: Dict, rows: np.ndarray,
@@ -682,50 +691,14 @@ class MergedSearcher:
             self.average_fieldnorm) for t in terms]
 
     def search(self, terms, mode: str = "or", k: int = 10):
+        from ..search.searcher import global_topk
+
         terms = list(terms)
         dfs = {t: self.reader.doc_freq(t) for t in terms}
-        weights = self._make_weights(terms, dfs)
-        from ..search.searcher import _sparse_accumulate
-
         gv = self._gv
-        fids = gv["fids"]
-        n_present = 0
-        parts = []
-        for t, w in zip(terms, weights):
-            p = self.reader.postings(t)
-            if p is None:
-                continue
-            n_present += 1
-            docs, tfs = p
-            parts.append((docs, w.score(fids[docs], tfs)))
-        if mode == "and" and n_present < len(terms):
-            return []
-        # candidate-sparse accumulation (O(matched postings); dense-query
-        # cutover inside) — same serving-path discipline as IndexSearcher
-        cand, scores, nmatch = _sparse_accumulate(
-            parts, int(gv["bases"][-1]))
-        if mode == "and":
-            keep = nmatch == len(terms)
-            cand, scores = cand[keep], scores[keep]
-        if len(cand) == 0:
-            return []
-        return self._topk_hits(cand, scores, k)
-
-    def _topk_hits(self, cand, scores, k: int):
-        """(global docs, f32 scores) → top-k (score, segment_ord,
-        local_doc) with the collector tie rule (score desc, doc asc)."""
-        gv = self._gv
-        if len(cand) > k:
-            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        cand, scores = cand[order], scores[order]
-        seg_of = np.searchsorted(gv["bases"], cand, side="right") - 1
-        return [
-            (float(s), self._ords[int(si)], int(d - gv["bases"][int(si)]))
-            for s, si, d in zip(scores, seg_of, cand)
-        ]
+        return global_topk(self.reader.postings, terms,
+                           self._make_weights(terms, dfs), mode, k,
+                           gv["fids"], gv["bases"], self._ords)
 
     def search_fuzzy(self, term: str, distance: int = 1, k: int = 10,
                      transposition: bool = True):
@@ -747,6 +720,7 @@ class MergedSearcher:
         src/positions/mod.rs:1-40)."""
         from ..bm25 import Bm25Weight
         from ..search.query import phrase_match_counts
+        from ..search.searcher import topk_hits
 
         terms = list(terms)
         dfs = [self.reader.doc_freq(t) for t in terms]
@@ -760,7 +734,7 @@ class MergedSearcher:
         w = Bm25Weight.for_terms(dfs, self.total_num_docs,
                                  self.average_fieldnorm)
         scores = w.score(self._gv["fids"][docs], tfs)
-        return self._topk_hits(docs, scores, k)
+        return topk_hits(docs, scores, k, self._gv["bases"], self._ords)
 
 
 class MergedIndexReader:

@@ -3,4 +3,4 @@ from .pages import (  # noqa: F401
     generate_pages_table,
     write_pages_parquet,
 )
-from .search_pipeline import SearcherActor, global_doc_freqs, search_pipeline  # noqa: F401
+from .search_pipeline import global_doc_freqs, search_pipeline  # noqa: F401

@@ -206,67 +206,62 @@ SQL_TOP_TERMS = (
 
 
 
+def _doc_key_ranking(idx: str, hits: pa.Table) -> pa.Table:
+    """Search hits → (query_id, rank, doc_id), int64, sorted by
+    (query_id, rank); each (segment_ord, local doc) becomes its original
+    doc_id through the doc-key store."""
+    from ..search import IndexSearcher
+
+    keys = IndexSearcher(idx).resolve_doc_keys(list(zip(
+        hits.column("segment_ord").to_pylist(),
+        hits.column("doc_id").to_pylist())))
+    return pa.table({
+        "query_id": hits.column("query_id").cast(pa.int64()),
+        "rank": hits.column("rank").cast(pa.int64()),
+        "doc_id": pa.array([int(k) for k in keys], type=pa.int64()),
+    }).sort_by([("query_id", "ascending"), ("rank", "ascending")])
+
+
 def q_topk_bm25(sf_dir: str) -> pa.Table:
     """Top-k BM25 for the reference query set → (query_id, rank, doc_id)."""
     from .search_pipeline import search_pipeline
-    from ..search import IndexSearcher
 
     idx = build_docs_index(sf_dir)
-    tbl = search_pipeline(idx, DOC_QUERIES, num_shards=1, concurrency=2)
-    # map (segment_ord, local doc) → original doc_id via the doc-key store
-    s = IndexSearcher(idx)
-    pdf = tbl.to_pandas()
-    pdf["doc_id"] = [int(v) for v in s.resolve_doc_keys(
-        list(zip(pdf.segment_ord, pdf.doc_id)))]
-    pdf = pdf[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    pdf = pdf.astype({"query_id": "int64", "rank": "int64", "doc_id": "int64"})
-    return pa.Table.from_pandas(pdf.reset_index(drop=True), preserve_index=False)
+    return _doc_key_ranking(
+        idx, search_pipeline(idx, DOC_QUERIES, num_shards=1, concurrency=2))
 
 
 def q_topk_bm25_merged(sf_dir: str) -> pa.Table:
     """Same result as topk_bm25 but served from the STANDALONE merged
     index (groupby-term merge output: term-partitioned parquet +
     embedded fieldnorms — no source segment open during scoring): the
-    wide shuffle's output is itself an oracle-checked serving index."""
+    wide shuffle's output is itself an oracle-checked serving index.
+    The merge re-runs on every call, so the check always covers the
+    current merge code, never a merged index left by an older one."""
+    import shutil
+
     from ..index.merge import MergedSearcher, merge_segments
-    from ..search import IndexSearcher
 
     idx = build_docs_index(sf_dir)
     merged = idx + "_merged"
-    if not os.path.exists(os.path.join(merged, "merged_meta.json")):
-        merge_segments(idx, merged, salt_block_docs=4096)
+    shutil.rmtree(merged, ignore_errors=True)
+    merge_segments(idx, merged, salt_block_docs=4096)
     ms = MergedSearcher(merged)  # standalone: no index_dir
-    rows = []
-    for qid, terms, mode, k in DOC_QUERIES:
-        for rank, (_s, seg, doc) in enumerate(ms.search(terms, mode, k)):
-            rows.append((qid, rank, seg, doc))
-    s = IndexSearcher(idx)  # doc-key hydration only
-    keys = s.resolve_doc_keys([(r[2], r[3]) for r in rows])
-    pdf = pd.DataFrame({
-        "query_id": [r[0] for r in rows],
-        "rank": [r[1] for r in rows],
-        "doc_id": [int(k) for k in keys],
-    }).astype("int64").sort_values(["query_id", "rank"])
-    return pa.Table.from_pandas(pdf.reset_index(drop=True),
-                                preserve_index=False)
+    hits = pa.Table.from_pylist([
+        {"query_id": qid, "rank": rank, "segment_ord": seg, "doc_id": doc}
+        for qid, terms, mode, k in DOC_QUERIES
+        for rank, (_s, seg, doc) in enumerate(ms.search(terms, mode, k))])
+    return _doc_key_ranking(idx, hits)
 
 
 def q_topk_bm25_wand(sf_dir: str) -> pa.Table:
     """Same result as topk_bm25 but through block-max WAND — the pruning
     scale path proven rank-identical at the correctness gate."""
     from .search_pipeline import search_pipeline
-    from ..search import IndexSearcher
 
     idx = build_docs_index(sf_dir)
-    tbl = search_pipeline(idx, DOC_QUERIES, num_shards=1, concurrency=2,
-                          use_wand=True)
-    s = IndexSearcher(idx)
-    pdf = tbl.to_pandas()
-    pdf["doc_id"] = [int(v) for v in s.resolve_doc_keys(
-        list(zip(pdf.segment_ord, pdf.doc_id)))]
-    pdf = pdf[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    pdf = pdf.astype({"query_id": "int64", "rank": "int64", "doc_id": "int64"})
-    return pa.Table.from_pandas(pdf.reset_index(drop=True), preserve_index=False)
+    return _doc_key_ranking(idx, search_pipeline(
+        idx, DOC_QUERIES, num_shards=1, concurrency=2, use_wand=True))
 
 
 # AND-heavy reference set for the intersection pruner (block-WAND over
@@ -286,37 +281,20 @@ def q_topk_bm25_and_wand(sf_dir: str) -> pa.Table:
     (search/wand.py block_max_wand_intersection_topk) — hash-matched
     against the same SQL scorer as the exhaustive path."""
     from .search_pipeline import search_pipeline
-    from ..search import IndexSearcher
 
     idx = build_docs_index(sf_dir)
-    tbl = search_pipeline(idx, AND_QUERIES, num_shards=1, concurrency=2,
-                          use_wand=True)
-    s = IndexSearcher(idx)
-    pdf = tbl.to_pandas()
-    pdf["doc_id"] = [int(v) for v in s.resolve_doc_keys(
-        list(zip(pdf.segment_ord, pdf.doc_id)))]
-    pdf = pdf[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    pdf = pdf.astype({"query_id": "int64", "rank": "int64", "doc_id": "int64"})
-    return pa.Table.from_pandas(pdf.reset_index(drop=True), preserve_index=False)
+    return _doc_key_ranking(idx, search_pipeline(
+        idx, AND_QUERIES, num_shards=1, concurrency=2, use_wand=True))
 
 
 def q_topk_bm25_sharded(sf_dir: str) -> pa.Table:
     """Same result through the sharded scatter-gather topology (3 shards,
     global stats broadcast) — distribution-invariance at the gate."""
     from .search_pipeline import search_pipeline
-    from ..search import IndexSearcher
 
     idx = build_docs_index(sf_dir)
-    tbl = search_pipeline(idx, DOC_QUERIES, num_shards=3, concurrency=1)
-    s = IndexSearcher(idx)
-    pdf = tbl.to_pandas()
-    pdf["doc_id"] = [int(v) for v in s.resolve_doc_keys(
-        list(zip(pdf.segment_ord, pdf.doc_id)))]
-    pdf = pdf[["query_id", "rank", "doc_id"]].sort_values(["query_id", "rank"])
-    pdf = pdf.astype({"query_id": "int64", "rank": "int64", "doc_id": "int64"})
-    return pa.Table.from_pandas(pdf.reset_index(drop=True), preserve_index=False)
-
-
+    return _doc_key_ranking(
+        idx, search_pipeline(idx, DOC_QUERIES, num_shards=3, concurrency=1))
 
 
 def q_topk_bm25_parsed(sf_dir: str) -> pa.Table:
@@ -324,7 +302,6 @@ def q_topk_bm25_parsed(sf_dir: str) -> pa.Table:
     through the full QueryParser grammar (" ".join for OR, " AND " for
     conjunctions) served by a warm SearcherPool — the parser's occur
     composition under the driver's correctness gate."""
-    from ..search import IndexSearcher
     from ..search.pool import SearcherPool
 
     idx = build_docs_index(sf_dir)
@@ -336,18 +313,9 @@ def q_topk_bm25_parsed(sf_dir: str) -> pa.Table:
     pool.warm()
     try:
         tbl = pool.search_parsed_batch(parsed)
-        pdf = tbl.to_pandas()
-        s = IndexSearcher(idx)
-        pdf["doc_id"] = [int(v) for v in s.resolve_doc_keys(
-            list(zip(pdf.segment_ord, pdf.doc_id)))]
     finally:
         pool.close()
-    pdf = pdf[["query_id", "rank", "doc_id"]].sort_values(
-        ["query_id", "rank"])
-    pdf = pdf.astype({"query_id": "int64", "rank": "int64",
-                      "doc_id": "int64"})
-    return pa.Table.from_pandas(pdf.reset_index(drop=True),
-                                preserve_index=False)
+    return _doc_key_ranking(idx, tbl)
 
 
 def q_topk_bm25_variants(sf_dir: str) -> pa.Table:

@@ -1,226 +1,116 @@
 """Batch query execution as a Ray Data pipeline.
 
 Topology (SURVEY §2.9 → Ray): a query is latency-bound, a *batch* of queries
-is a Dataset. Searcher state (term dicts + mmapped postings) lives in an
-actor pool — loaded once per actor in ``__init__``
-(reference Searcher/rayon executor, src/core/searcher.rs:220-237).
+is a Dataset.  Scoring is the serving stack's ``_SearcherHost``
+(search/pool.py), held by one ``map_batches`` actor pool for the length
+of the pipeline execution (reference Searcher/rayon executor,
+src/core/searcher.rs:220-237).
 
-Two modes:
-- ``num_shards=1`` (replicated): every actor holds all segments; queries are
-  split across the pool — throughput parallelism when the index fits one
-  node's page cache.
-- ``num_shards>1`` (scatter-gather): segments are partitioned into shards;
-  the query Dataset flows through one actor pool per shard, shard results
-  are unioned and reduced per query_id with ``groupby(...).map_groups`` —
-  the merge_fruits step (reference src/collector/mod.rs:167-180) expressed
-  as a Ray Data reduce. Global BM25 stats come from the manifest + a
-  df-lookup pass over shard term dicts, so scores are identical in both
-  modes.
+One topology: the queries cross the index's shards into a shard-major
+(query x shard) product Dataset; each row names its shard, and an actor
+opens that shard's host on demand and keeps a bounded cache of them, so
+consecutive batches hit the same shard and an actor holds O(1) shards of
+state at hundreds of shards.
+- ``num_shards=1`` (replicated) is the one-shard case: every host holds
+  all segments, its local doc freqs are already global, and each
+  query's rows come back ranked from one host — the driver only sorts.
+- ``num_shards>1`` (scatter-gather): global BM25 stats come from a
+  df-lookup pass over the shards' term dicts (``global_doc_freqs``), so
+  scores are identical to one shard, and the driver merges per-query
+  top-k with the collector tie rule (``_merge_topk_table``, the
+  merge_fruits step of reference src/collector/mod.rs:167-180).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
-from ..search.searcher import IndexSearcher, merge_topk
+from ..search.pool import _gather, _SearcherHost, _shard_ords
+from ..search.searcher import IndexSearcher
 from ..utils import remote_args
 
-
-def _shard_ords(manifest, num_shards: int) -> List[List[int]]:
-    ords = [s["segment_ord"] for s in manifest.segments]
-    return [ords[i::num_shards] for i in range(num_shards) if ords[i::num_shards]]
-
-
-def _hits_table(out: Dict[str, list], with_rank: bool = True) -> pa.Table:
-    """Typed Arrow result block for searcher actors (zero-copy into the
-    object store — no pandas conversion on the serving hot path)."""
-    cols = {
-        "query_id": pa.array(out["query_id"], type=pa.int64()),
-    }
-    if with_rank:
-        cols["rank"] = pa.array(out["rank"], type=pa.int32())
-    cols["score"] = pa.array(
-        np.asarray(out["score"], dtype=np.float32), type=pa.float32())
-    cols["segment_ord"] = pa.array(out["segment_ord"], type=pa.int32())
-    cols["doc_id"] = pa.array(out["doc_id"], type=pa.int64())
-    return pa.table(cols)
+# shard hosts an actor keeps open (shard-major input: 2 covers a batch
+# that straddles a shard boundary)
+_MAX_OPEN_SHARDS = 2
 
 
-class SearcherActor:
-    """map_batches callable class: one actor = one shard's searcher."""
+class _ShardHosts:
+    """map_batches callable: each row of a batch names its shard; the
+    rows of one shard go to that shard's ``_SearcherHost`` as one chunk."""
 
-    def __init__(self, index_dir: str, segment_ords: Optional[List[int]],
-                 doc_freqs: Dict[str, int], use_wand: bool):
-        self.searcher = IndexSearcher(index_dir, segment_ords)
-        self.doc_freqs = doc_freqs
-        self.use_wand = use_wand
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {
-            "query_id": [], "rank": [], "score": [], "segment_ord": [],
-            "doc_id": [],
-        }
-        for qid, terms, mode, k in zip(
-            batch.column("query_id").to_pylist(),
-            batch.column("terms").to_pylist(),
-            batch.column("mode").to_pylist(),
-            batch.column("k").to_pylist(),
-        ):
-            if str(mode) == "phrase":
-                from ..search.query import PhraseQuery
-
-                df_of = (self.searcher.doc_freq if self.doc_freqs is None
-                         else lambda t: self.doc_freqs.get(t, 0))
-                hits = self.searcher.search_query(
-                    PhraseQuery(list(terms)), int(k), doc_freq_of=df_of,
-                )
-            else:
-                hits = self.searcher.search(
-                    list(terms), str(mode), int(k),
-                    doc_freqs=self.doc_freqs, use_wand=self.use_wand,
-                )
-            for rank, (s, seg, doc) in enumerate(hits):
-                out["query_id"].append(int(qid))
-                out["rank"].append(rank)
-                out["score"].append(np.float32(s))
-                out["segment_ord"].append(seg)
-                out["doc_id"].append(doc)
-        return _hits_table(out)
-
-
-class MultiShardSearcherActor:
-    """Single-pool scatter-gather for ``num_shards >> pool size``: one
-    actor pool serves a (query x shard) PRODUCT Dataset — each row names
-    its shard, the actor opens that shard's searcher on demand and keeps
-    a small bounded cache.  The product stream is ordered shard-major,
-    so consecutive batches hit the same shard and an actor holds O(1)
-    shards of state instead of one pool per shard (round-1 topology,
-    untenable at hundreds of shards)."""
-
-    def __init__(self, index_dir: str, shard_ords: Dict[int, List[int]],
-                 doc_freqs: Dict[str, int], use_wand: bool,
-                 max_open: int = 2):
+    def __init__(self, index_dir: str, shards: List, doc_freqs,
+                 use_wand: bool, method: str, columns: List[str]):
         self.index_dir = index_dir
-        self.shard_ords = shard_ords
+        self.shards = shards
         self.doc_freqs = doc_freqs
         self.use_wand = use_wand
-        self.max_open = max_open
-        self._open: Dict[int, IndexSearcher] = {}
+        self.method = method
+        self.columns = columns
+        self._open: Dict[int, _SearcherHost] = {}
 
-    def _searcher(self, shard: int) -> IndexSearcher:
-        s = self._open.get(shard)
-        if s is None:
-            if len(self._open) >= self.max_open:
+    def _host(self, shard: int) -> _SearcherHost:
+        h = self._open.get(shard)
+        if h is None:
+            if len(self._open) >= _MAX_OPEN_SHARDS:
                 self._open.pop(next(iter(self._open)))
-            s = IndexSearcher(self.index_dir, self.shard_ords[shard])
-            self._open[shard] = s
-        return s
+            h = self._open[shard] = _SearcherHost(
+                self.index_dir, self.use_wand, self.shards[shard])
+        return h
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"query_id": [], "score": [], "segment_ord": [], "doc_id": []}
-        shard_col = batch.column("shard").to_numpy()
-        # shard-major input → contiguous runs; process each run with its
-        # searcher (sorted to be safe against block coalescing)
-        order = np.argsort(shard_col, kind="stable")
-        qids = batch.column("query_id").to_pylist()
-        termss = batch.column("terms").to_pylist()
-        modes = batch.column("mode").to_pylist()
-        ks = batch.column("k").to_pylist()
-        for i in order:
-            i = int(i)
-            searcher = self._searcher(int(shard_col[i]))
-            qid, terms, mode, k = qids[i], termss[i], modes[i], ks[i]
-            if str(mode) == "phrase":
-                from ..search.query import PhraseQuery
-
-                hits = searcher.search_query(
-                    PhraseQuery(list(terms)), int(k),
-                    doc_freq_of=lambda t: self.doc_freqs.get(t, 0),
-                )
-            else:
-                hits = searcher.search(
-                    list(terms), str(mode), int(k),
-                    doc_freqs=self.doc_freqs, use_wand=self.use_wand,
-                )
-            for s, seg, doc in hits:
-                out["query_id"].append(int(qid))
-                out["score"].append(np.float32(s))
-                out["segment_ord"].append(seg)
-                out["doc_id"].append(doc)
-        return _hits_table(out, with_rank=False)
+        rows = list(zip(*(batch.column(c).to_pylist()
+                          for c in self.columns)))
+        by_shard: Dict[int, list] = {}
+        for shard, row in zip(batch.column("shard").to_pylist(), rows):
+            by_shard.setdefault(shard, []).append(row)
+        return pa.concat_tables([
+            getattr(self._host(shard), self.method)(chunk, self.doc_freqs)
+            for shard, chunk in by_shard.items()])
 
 
-class ParsedSearcherActor:
-    """Actor for the parsed-query pipeline: holds a full-index searcher
-    + a QueryParser; each row is a raw query STRING (field:, quotes,
-    AND/OR/NOT, ~fuzzy, ranges, /regex/, boosts — everything the parser
-    supports), evaluated with exact global stats (every actor sees all
-    segments, the replicated num_shards=1 topology)."""
+def _run(index_dir: str, queries: List[Tuple], shards: List, doc_freqs,
+         use_wand: bool, method: str, columns: List[str],
+         concurrency: int) -> pa.Table:
+    """The (query x shard) product through one actor pool, gathered on
+    the driver."""
+    import ray
+    import ray.data as rd
 
-    def __init__(self, index_dir: str, analyzer: str,
-                 default_fields, conjunction: bool):
-        from ..search.queryparser import QueryParser
-
-        self.searcher = IndexSearcher(index_dir)
-        self.parser = QueryParser(analyzer, default_fields, conjunction)
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        out = {"query_id": [], "rank": [], "score": [], "segment_ord": [],
-               "doc_id": []}
-        for qid, q, k in zip(batch.column("query_id").to_pylist(),
-                             batch.column("q").to_pylist(),
-                             batch.column("k").to_pylist()):
-            hits = self.searcher.search_query(
-                self.parser.parse(str(q)), int(k))
-            for rank, (s, seg, doc) in enumerate(hits):
-                out["query_id"].append(int(qid))
-                out["rank"].append(rank)
-                out["score"].append(np.float32(s))
-                out["segment_ord"].append(seg)
-                out["doc_id"].append(doc)
-        return _hits_table(out)
+    prod = rd.from_items([
+        dict(zip(columns, q), shard=si)
+        for si in range(len(shards)) for q in queries
+    ])
+    res = prod.map_batches(
+        _ShardHosts,
+        fn_constructor_kwargs={
+            "index_dir": index_dir, "shards": shards,
+            "doc_freqs": doc_freqs, "use_wand": use_wand,
+            "method": method, "columns": columns,
+        },
+        # keep every actor in the pool busy: >=2 batches per actor
+        batch_size=max(1, len(queries) * len(shards)
+                       // (max(1, concurrency) * 2)),
+        batch_format="pyarrow",
+        concurrency=concurrency,
+        **remote_args(),
+    )
+    return _gather(ray.get(res.to_arrow_refs()), queries, len(shards) > 1)
 
 
 def parsed_search_pipeline(
     index_dir: str,
     queries: Sequence[Tuple[int, str, int]],
     concurrency: int = 2,
-    analyzer: str = "default",
-    default_fields=None,
-    conjunction_by_default: bool = False,
-    batch_size: Optional[int] = None,
 ) -> pa.Table:
     """Batch execution of PARSED query strings — the full query algebra
-    (bool trees, phrases, fuzzy/regex automata, ranges, boosts) through
-    one replicated actor pool.  → (query_id, rank, score, segment_ord,
-    doc_id), identical to per-query ``parse_and_search``."""
-    import ray.data as rd
-
-    if batch_size is None:
-        batch_size = max(1, len(queries) // (max(1, concurrency) * 2))
-    qds = rd.from_items([
-        {"query_id": qid, "q": q, "k": k} for qid, q, k in queries
-    ])
-    res = qds.map_batches(
-        ParsedSearcherActor,
-        fn_constructor_kwargs={
-            "index_dir": index_dir,
-            "analyzer": analyzer,
-            "default_fields": default_fields,
-            "conjunction": conjunction_by_default,
-        },
-        batch_size=batch_size,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-        **remote_args(),
-    )
-    pdf = res.to_pandas().sort_values(["query_id", "rank"])
-    return pa.Table.from_pandas(pdf.reset_index(drop=True),
-                                preserve_index=False)
+    (bool trees, phrases, fuzzy/regex automata, ranges, boosts) parsed
+    with the index's own analyzer, over the replicated topology.
+    → (query_id, rank, score, segment_ord, doc_id), identical to
+    per-query ``parse_and_search``."""
+    return _run(index_dir, list(queries), [None], None, False,
+                "search_parsed_chunk", ["query_id", "q", "k"], concurrency)
 
 
 def global_doc_freqs(index_dir: str, terms: Sequence[str],
@@ -259,126 +149,20 @@ def search_pipeline(
     num_shards: int = 1,
     concurrency: int = 2,
     use_wand: bool = False,
-    batch_size: Optional[int] = None,
-    single_pool: Optional[bool] = None,
 ) -> pa.Table:
     """Execute a batch of (query_id, terms, mode, k) queries.
 
     → pa.Table (query_id, rank, score, segment_ord, doc_id), rank-identical
-    to per-query ``IndexSearcher.search``.
-
-    ``single_pool``: route a (query x shard) product Dataset through ONE
-    actor pool (MultiShardSearcherActor) instead of one pool per shard.
-    Default: automatic when num_shards > 4 — at hundreds of shards a
-    pool per shard would mean hundreds of operators and actor pools."""
-    import ray.data as rd
-
+    to per-query ``IndexSearcher.search``."""
     from ..index.manifest import load_manifest
 
-    manifest = load_manifest(index_dir)
-    shards_probe = _shard_ords(manifest, num_shards)
-    if num_shards <= 1 or len(shards_probe) <= 1:
-        # replicated mode: every actor holds all segments, so its LOCAL
-        # doc freqs are already global — no separate df-lookup job
-        dfs = None
-    else:
-        all_terms = sorted({t for _, terms, _, _ in queries for t in terms})
-        dfs = global_doc_freqs(index_dir, all_terms, manifest)
-
-    if batch_size is None:
-        # keep every actor in the pool busy: >=2 batches per actor
-        batch_size = max(1, len(queries) // (max(1, concurrency) * 2))
-
-    shards = _shard_ords(manifest, num_shards)
-    if not shards:
-        shards = [None]  # empty index → single empty searcher
-    if single_pool is None:
-        single_pool = len(shards) > 4
-    if len(shards) <= 1:
-        # a single shard is the replicated topology: MultiShardSearcherActor
-        # emits no rank column and needs global dfs (None here), so an
-        # explicit single_pool=True would break the replicated fast path
-        single_pool = False
-
-    if single_pool and shards != [None]:
-        shard_map = {i: ords for i, ords in enumerate(shards)}
-        # shard-major product: consecutive batches hit the same shard
-        prod = rd.from_items([
-            {"query_id": qid, "terms": list(terms), "mode": mode, "k": k,
-             "shard": si}
-            for si in sorted(shard_map)
-            for qid, terms, mode, k in queries
-        ])
-        unioned = prod.map_batches(
-            MultiShardSearcherActor,
-            fn_constructor_kwargs={
-                "index_dir": index_dir,
-                "shard_ords": shard_map,
-                "doc_freqs": dfs,
-                "use_wand": use_wand,
-            },
-            batch_size=batch_size,
-            batch_format="pyarrow",
-            concurrency=concurrency,
-            **remote_args(),
-        )
-    else:
-        qds = rd.from_items([
-            {"query_id": qid, "terms": list(terms), "mode": mode, "k": k}
-            for qid, terms, mode, k in queries
-        ])
-        per_shard = []
-        for ords in shards:
-            per_shard.append(
-                qds.map_batches(
-                    SearcherActor,
-                    fn_constructor_kwargs={
-                        "index_dir": index_dir,
-                        "segment_ords": ords,
-                        "doc_freqs": dfs,
-                        "use_wand": use_wand,
-                    },
-                    batch_size=batch_size,
-                    batch_format="pyarrow",
-                    concurrency=concurrency,
-                    **remote_args(),
-                )
-            )
-        unioned = per_shard[0]
-        for d in per_shard[1:]:
-            unioned = unioned.union(d)
-
-    if len(shards) <= 1:
-        # replicated: a query's rows all come from ONE actor, already the
-        # globally-ranked top-k — no reduce exchange needed at all
-        pdf = unioned.to_pandas().sort_values(["query_id", "rank"])
-        return pa.Table.from_pandas(pdf.reset_index(drop=True),
-                                    preserve_index=False)
-
-    k_of = {qid: k for qid, _, _, k in queries}
-
-    def reduce_query(g: pa.Table) -> pa.Table:
-        qid = int(g.column("query_id")[0].as_py())
-        scores = g.column("score").to_numpy().astype(np.float32)
-        segs = g.column("segment_ord").to_numpy()
-        docs = g.column("doc_id").to_numpy()
-        top = merge_topk(
-            [(float(s), int(a), int(b))
-             for s, a, b in zip(scores, segs, docs)],
-            k_of.get(qid, 10))
-        return _hits_table({
-            "query_id": [qid] * len(top),
-            "rank": list(range(len(top))),
-            "score": [t[0] for t in top],
-            "segment_ord": [t[1] for t in top],
-            "doc_id": [t[2] for t in top],
-        })
-
-    # coalesce before the reduce shuffle: per-shard top-k rows are tiny,
-    # and the sort exchange's fixed cost scales with block count
-    unioned = unioned.repartition(max(8, num_shards))
-    result = unioned.groupby("query_id").map_groups(
-        reduce_query, batch_format="pyarrow", **remote_args()
-    )
-    tbl = pa.Table.from_pandas(result.to_pandas(), preserve_index=False)
-    return tbl
+    queries = [(qid, list(terms), mode, k) for qid, terms, mode, k in queries]
+    shards, dfs = [None], None  # replicated: every host holds all segments
+    if num_shards > 1:
+        manifest = load_manifest(index_dir)
+        if len(_shard_ords(manifest, num_shards)) > 1:
+            shards = _shard_ords(manifest, num_shards)
+            dfs = global_doc_freqs(
+                index_dir, {t for q in queries for t in q[1]}, manifest)
+    return _run(index_dir, queries, shards, dfs, use_wand, "search_chunk",
+                ["query_id", "terms", "mode", "k"], concurrency)

@@ -1,23 +1,24 @@
-"""SearcherPool — a persistent replicated searcher actor pool.
+"""The serving stack: ``_SearcherHost`` scores, ``SearcherPool`` keeps
+hosts warm.
 
 The reference's serving shape is a LONG-LIVED Searcher over mmapped
 segments (startup <10 ms, README.md:34; rayon pool per search,
 src/core/executor.rs:32-37): the index is opened once and query batches
-arrive repeatedly.  Ray Data's `map_batches(Cls, concurrency=N)` actor
-pools are scoped to ONE dataset execution — every `search_pipeline` call
-pays actor spawn + per-actor index open again, a fixed cost that dwarfs
-scoring for small batches.
+arrive repeatedly.
 
-This is the one place the Dataset API genuinely can't express the
-semantics (state that must outlive a pipeline execution), so the pool is
-plain Ray actors: `size` replicated `_SearcherHost`s, each holding a full
-IndexSearcher (num_shards=1 topology — actor-local doc freqs ARE global,
-and each query's rows come back ranked from one actor, so there is no
-df job and no reduce exchange).  `search_batch` round-robins the query
-list across the pool and concatenates the per-actor Arrow tables.
+``_SearcherHost`` is the one per-chunk scoring core.  A chunk of term
+queries or of raw query strings goes in, one ranked Arrow table comes
+out.  Two callers drive it:
+- ``SearcherPool`` (here): plain Ray actors that outlive a pipeline
+  execution — ``size`` replicas of the full index, or replicas of
+  segment shards.  ``search_batch`` chunks the query list across them.
+- ``search_pipeline`` / ``parsed_search_pipeline``
+  (pipelines/search_pipeline.py): a Ray Data ``map_batches`` class that
+  holds hosts for the length of one pipeline execution.
 
-Results are f32/rank-identical to ``search_pipeline(..., num_shards=1)``
-(asserted in tests/test_round3_fixes.py::test_searcher_pool_parity).
+Both gather the same way (``_gather``): with one shard every query's
+rows come back ranked from one host, so the driver only sorts; with
+several, ``_merge_topk_table`` merges the per-shard top-k.
 """
 
 from __future__ import annotations
@@ -30,9 +31,17 @@ import pyarrow as pa
 from ..utils import remote_args
 
 
+def _shard_ords(manifest, num_shards: int) -> List[List[int]]:
+    """Segment ords dealt round-robin into ``num_shards`` non-empty
+    shards."""
+    ords = [s["segment_ord"] for s in manifest.segments]
+    return [ords[i::num_shards] for i in range(num_shards)
+            if ords[i::num_shards]]
+
+
 class _SearcherHost:
-    """One pool replica: its searcher (full index, or one shard of
-    segment ords) opened once in __init__."""
+    """One searcher (full index, or one shard of segment ords) opened
+    once in __init__; a pool replica or a pipeline actor's shard."""
 
     def __init__(self, index_dir: str, use_wand: bool,
                  segment_ords: Optional[List[int]] = None):
@@ -41,6 +50,7 @@ class _SearcherHost:
         self.searcher = IndexSearcher(index_dir, segment_ords)
         self.use_wand = use_wand
         self.chunks_served = 0
+        self._parser = None
 
     def served(self) -> int:
         """Chunks handled so far (replica-utilization introspection)."""
@@ -56,96 +66,76 @@ class _SearcherHost:
         """Shard-local doc freqs (the sharded pool sums them globally)."""
         return self.searcher.doc_freqs(terms)
 
-    def _get_parser(self, analyzer: str = None):
-        from .queryparser import QueryParser
+    def _parse(self, qtext: str):
+        """Parse with the analyzer the index was built with."""
+        if self._parser is None:
+            from .queryparser import QueryParser
 
-        parser = getattr(self, "_parser", None)
-        if parser is None:
-            parser = self._parser = QueryParser(
-                analyzer or self.searcher.manifest.analyzer)
-        return parser
+            self._parser = QueryParser(self.searcher.manifest.analyzer)
+        return self._parser.parse(str(qtext))
 
-    def parsed_stat_terms(self, chunk: List[Tuple[int, str, int]],
-                          analyzer: str = None):
+    def parsed_stat_terms(self, chunk: List[Tuple[int, str, int]]):
         """Shard-local doc freqs for every effective term the parsed
         queries need (fuzzy/regex expanded against THIS shard's vocab);
         the pool sums the per-shard maps into exact global stats."""
         from .query import collect_stat_terms
 
-        parser = self._get_parser(analyzer)
         terms: set = set()
         for _, qtext, _ in chunk:
-            q = parser.parse(str(qtext))
+            q = self._parse(qtext)
             for r in self.searcher.readers:
                 terms |= collect_stat_terms(q, r)
         return {t: self.searcher.doc_freq(t) for t in terms}
 
-    def search_parsed_chunk(self, chunk: List[Tuple[int, str, int]],
-                            analyzer: str = None,
-                            doc_freqs=None,
-                            with_rank: bool = True) -> pa.Table:
-        """Raw query STRINGS through the full QueryParser grammar
-        (bool trees, phrases, fuzzy/regex automata, ranges, boosts).
-        ``doc_freqs``: global stats map for sharded evaluation."""
-        self.chunks_served += 1
-        parser = self._get_parser(analyzer)
-        df_of = (None if doc_freqs is None
-                 else (lambda t: doc_freqs.get(t, 0)))
-        out = {"query_id": [], "rank": [], "score": [], "segment_ord": [],
-               "doc_id": []}
-        for qid, qtext, k in chunk:
-            hits = self.searcher.search_query(parser.parse(str(qtext)),
-                                              int(k), doc_freq_of=df_of)
-            for rank, (s, seg, doc) in enumerate(hits):
-                out["query_id"].append(int(qid))
-                out["rank"].append(rank)
-                out["score"].append(np.float32(s))
-                out["segment_ord"].append(seg)
-                out["doc_id"].append(doc)
-        cols = {
-            "query_id": pa.array(out["query_id"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "score": pa.array(out["score"], type=pa.float32()),
-            "segment_ord": pa.array(out["segment_ord"], type=pa.int32()),
-            "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-        }
-        if not with_rank:
-            cols.pop("rank")
-        return pa.table(cols)
-
     def search_chunk(self, chunk: List[Tuple[int, List[str], str, int]],
-                     doc_freqs=None, with_rank: bool = True) -> pa.Table:
-        self.chunks_served += 1
-        out = {"query_id": [], "rank": [], "score": [], "segment_ord": [],
-               "doc_id": []}
-        for qid, terms, mode, k in chunk:
-            if str(mode) == "phrase":
-                from .query import PhraseQuery
+                     doc_freqs=None) -> pa.Table:
+        """(query_id, terms, mode, k) rows; ``doc_freqs``: global stats
+        map for sharded evaluation (None = this searcher's own)."""
+        from .query import PhraseQuery
 
-                df_of = (None if doc_freqs is None
-                         else (lambda t: doc_freqs.get(t, 0)))
-                hits = self.searcher.search_query(
-                    PhraseQuery(list(terms)), int(k), doc_freq_of=df_of)
-            else:
-                hits = self.searcher.search(
-                    list(terms), str(mode), int(k), doc_freqs=doc_freqs,
-                    use_wand=self.use_wand)
-            for rank, (s, seg, doc) in enumerate(hits):
-                out["query_id"].append(int(qid))
-                out["rank"].append(rank)
-                out["score"].append(np.float32(s))
-                out["segment_ord"].append(seg)
-                out["doc_id"].append(doc)
-        cols = {
-            "query_id": pa.array(out["query_id"], type=pa.int64()),
-            "rank": pa.array(out["rank"], type=pa.int32()),
-            "score": pa.array(out["score"], type=pa.float32()),
-            "segment_ord": pa.array(out["segment_ord"], type=pa.int32()),
-            "doc_id": pa.array(out["doc_id"], type=pa.int64()),
-        }
-        if not with_rank:
-            cols.pop("rank")
-        return pa.table(cols)
+        def run(q):
+            _, terms, mode, k = q
+            if str(mode) == "phrase":
+                return self.searcher.search_query(
+                    PhraseQuery(list(terms)), int(k),
+                    doc_freq_of=_df_of(doc_freqs))
+            return self.searcher.search(
+                list(terms), str(mode), int(k), doc_freqs=doc_freqs,
+                use_wand=self.use_wand)
+
+        return self._ranked(chunk, run)
+
+    def search_parsed_chunk(self, chunk: List[Tuple[int, str, int]],
+                            doc_freqs=None) -> pa.Table:
+        """(query_id, query_string, k) rows through the full QueryParser
+        grammar (bool trees, phrases, fuzzy/regex automata, ranges,
+        boosts)."""
+        df_of = _df_of(doc_freqs)
+        return self._ranked(chunk, lambda q: self.searcher.search_query(
+            self._parse(q[1]), int(q[2]), doc_freq_of=df_of))
+
+    def _ranked(self, chunk, run) -> pa.Table:
+        """Evaluate every query of the chunk; build the ranked hit table
+        column by column."""
+        self.chunks_served += 1
+        hits = [run(q) for q in chunk]
+        flat = [h for hs in hits for h in hs]
+        if not flat:
+            return _empty_result()
+        score, seg, doc = zip(*flat)
+        return pa.table({
+            "query_id": pa.array([int(q[0]) for q, hs in zip(chunk, hits)
+                                  for _ in hs], type=pa.int64()),
+            "rank": pa.array([r for hs in hits for r in range(len(hs))],
+                             type=pa.int32()),
+            "score": pa.array(score, type=pa.float32()),
+            "segment_ord": pa.array(seg, type=pa.int32()),
+            "doc_id": pa.array(doc, type=pa.int64()),
+        })
+
+
+def _df_of(doc_freqs):
+    return None if doc_freqs is None else (lambda t: doc_freqs.get(t, 0))
 
 
 def _merge_topk_table(tbl: pa.Table, queries) -> pa.Table:
@@ -183,17 +173,26 @@ def _merge_topk_table(tbl: pa.Table, queries) -> pa.Table:
     })
 
 
-def _empty_result(with_rank: bool = True) -> pa.Table:
-    cols = {
+def _empty_result() -> pa.Table:
+    return pa.table({
         "query_id": pa.array([], type=pa.int64()),
         "rank": pa.array([], type=pa.int32()),
         "score": pa.array([], type=pa.float32()),
         "segment_ord": pa.array([], type=pa.int32()),
         "doc_id": pa.array([], type=pa.int64()),
-    }
-    if not with_rank:
-        cols.pop("rank")
-    return pa.table(cols)
+    })
+
+
+def _gather(tables: Sequence[pa.Table], queries, sharded: bool) -> pa.Table:
+    """Host result tables → one table ranked per query_id: sorted when
+    each query came from one host, top-k merged across shards."""
+    tables = [t for t in tables if t.num_rows]
+    if not tables:
+        return _empty_result()
+    tbl = pa.concat_tables(tables)
+    if sharded:
+        return _merge_topk_table(tbl, queries)
+    return tbl.sort_by([("query_id", "ascending"), ("rank", "ascending")])
 
 
 class SearcherPool:
@@ -206,9 +205,8 @@ class SearcherPool:
     shape for an index larger than one node's memory.  A batch then
     runs two rounds: shard-local doc freqs are summed into exact global
     stats, every shard scores every query with those stats, and the
-    driver merges per-query top-k with the collector tie rule — the
-    persistent-actor analog of ``search_pipeline``'s scatter-gather,
-    f32/rank-identical to it (tests/test_round3_fixes.py)."""
+    driver merges per-query top-k with the collector tie rule —
+    f32/rank-identical to a full-index replica."""
 
     def __init__(self, index_dir: str, size: int = 4,
                  use_wand: bool = False, num_cpus: float = 1.0,
@@ -220,28 +218,17 @@ class SearcherPool:
         self._config = (index_dir, size, use_wand, num_cpus, num_shards)
         host = ray.remote(_SearcherHost).options(
             num_cpus=num_cpus, **remote_args())
-        self.num_shards = max(1, num_shards)
-        if self.num_shards == 1:
-            self.shards: List[Optional[List[int]]] = [None]
-            self.actors = [host.remote(index_dir, use_wand)
-                           for _ in range(size)]
-            self._shard_of = [0] * size
-        else:
-            manifest = load_manifest(index_dir)
-            ords = [s["segment_ord"] for s in manifest.segments]
-            shards = [ords[i::self.num_shards]
-                      for i in range(self.num_shards)]
-            self.shards = [s for s in shards if s]
-            self.num_shards = len(self.shards)
-            replicas = max(1, size // self.num_shards)
-            self.actors = []
-            self._shard_of = []
-            for si, shard in enumerate(self.shards):
-                for _ in range(replicas):
-                    self.actors.append(
-                        host.remote(index_dir, use_wand, shard))
-                    self._shard_of.append(si)
+        shards: List[Optional[List[int]]] = [None]
+        if num_shards > 1:
+            shards = _shard_ords(load_manifest(index_dir), num_shards)
+        self.num_shards = len(shards)
+        replicas = max(1, size // max(1, len(shards)))
+        # _groups[si] = shard si's replicas (the same count for every shard)
+        self._groups = [[host.remote(index_dir, use_wand, shard)
+                         for _ in range(replicas)] for shard in shards]
+        self.actors = [a for g in self._groups for a in g]
         self.size = len(self.actors)
+        self._df_cache: dict = {}
 
     def warm(self) -> None:
         """Block until every replica has opened its index."""
@@ -249,48 +236,54 @@ class SearcherPool:
 
         ray.get([a.ready.remote() for a in self.actors])
 
-    def _shard_groups(self) -> List[List]:
-        """Actors grouped by shard index: groups[si] = that shard's
-        replicas (every shard has the same replica count by
-        construction)."""
-        groups: List[List] = [[] for _ in range(self.num_shards)]
-        for a, si in zip(self.actors, self._shard_of):
-            groups[si].append(a)
-        return groups
-
     def _one_actor_per_shard(self) -> List:
         """One replica per shard, ROTATING across calls so repeated
         small batches spread over all replicas instead of pinning the
         first one (ADVICE r3: extra replicas were spawned but idle)."""
         self._rr = getattr(self, "_rr", -1) + 1
-        return [g[self._rr % len(g)] for g in self._shard_groups()]
+        return [g[self._rr % len(g)] for g in self._groups]
+
+    def _scatter(self, method: str, queries, doc_freqs) -> pa.Table:
+        """Each shard scores every query, the batch chunked across that
+        shard's replicas (each query reaches exactly one replica of each
+        shard), then the driver gathers."""
+        import ray
+
+        refs = []
+        for group in self._groups:
+            for j, actor in enumerate(group):
+                chunk = queries[j::len(group)]
+                if chunk:
+                    refs.append(getattr(actor, method).remote(chunk,
+                                                              doc_freqs))
+        return _gather(ray.get(refs), queries, self.num_shards > 1)
 
     def search_batch(
         self, queries: Sequence[Tuple[int, Sequence[str], str, int]],
-        chunks_per_actor: int = 1,
     ) -> pa.Table:
         """(query_id, terms, mode, k) batch → ranked Arrow table,
         identical to ``search_pipeline`` at the same num_shards."""
         import ray
 
         queries = list(queries)
+        dfs = None
         if self.num_shards > 1:
-            return self._search_batch_sharded(queries)
-        n_chunks = max(1, self.size * chunks_per_actor)
-        chunks = [queries[i::n_chunks] for i in range(n_chunks)]
-        refs = [
-            self.actors[i % self.size].search_chunk.remote(c)
-            for i, c in enumerate(chunks) if c
-        ]
-        tables = [t for t in ray.get(refs) if t.num_rows]
-        if not tables:
-            return _empty_result()
-        return pa.concat_tables(tables).sort_by(
-            [("query_id", "ascending"), ("rank", "ascending")])
+            # round 1: global stats = Σ shard-local doc freqs — cached
+            # across batches (a snapshot pool serves ONE commit; reload()
+            # clears)
+            terms = sorted({t for _, ts, _, _ in queries for t in ts})
+            cache = self._df_cache
+            missing = [t for t in terms if t not in cache]
+            if missing:
+                partials = ray.get([a.doc_freqs.remote(missing)
+                                    for a in self._one_actor_per_shard()])
+                for t in missing:
+                    cache[t] = sum(p.get(t, 0) for p in partials)
+            dfs = {t: cache[t] for t in terms}
+        return self._scatter("search_chunk", queries, dfs)
 
     def search_parsed_batch(
         self, queries: Sequence[Tuple[int, str, int]],
-        chunks_per_actor: int = 1,
     ) -> pa.Table:
         """(query_id, query_string, k) batch through the full parser
         grammar — the warm-pool analog of ``parsed_search_pipeline``.
@@ -304,78 +297,15 @@ class SearcherPool:
         import ray
 
         queries = list(queries)
+        dfs = None
         if self.num_shards > 1:
-            return self._search_parsed_batch_sharded(queries)
-        n_chunks = max(1, self.size * chunks_per_actor)
-        chunks = [queries[i::n_chunks] for i in range(n_chunks)]
-        refs = [
-            self.actors[i % self.size].search_parsed_chunk.remote(c)
-            for i, c in enumerate(chunks) if c
-        ]
-        tables = [t for t in ray.get(refs) if t.num_rows]
-        if not tables:
-            return _empty_result()
-        return pa.concat_tables(tables).sort_by(
-            [("query_id", "ascending"), ("rank", "ascending")])
-
-    def _search_parsed_batch_sharded(self, queries) -> pa.Table:
-        import ray
-
-        # round 1: every shard parses + expands against its own vocab and
-        # reports local dfs; summed -> exact global stats (not cached:
-        # fuzzy/regex expansions are query-dependent)
-        partials = ray.get([a.parsed_stat_terms.remote(queries)
-                            for a in self._one_actor_per_shard()])
-        dfs: dict = {}
-        for p in partials:
-            for t, df in p.items():
-                dfs[t] = dfs.get(t, 0) + df
-        # round 2: chunk the batch across each shard's replicas
-        refs = []
-        for group in self._shard_groups():
-            r = len(group)
-            for j, actor in enumerate(group):
-                chunk = queries[j::r]
-                if chunk:
-                    refs.append(actor.search_parsed_chunk.remote(
-                        chunk, None, dfs, False))
-        tables = [t for t in ray.get(refs) if t.num_rows]
-        if not tables:
-            return _empty_result()
-        return _merge_topk_table(pa.concat_tables(tables), queries)
-
-    def _search_batch_sharded(self, queries) -> pa.Table:
-        import ray
-
-        terms = sorted({t for _, ts, _, _ in queries for t in ts})
-        # round 1: global stats = Σ shard-local doc freqs — cached across
-        # batches (a snapshot pool serves ONE commit; reload() clears)
-        cache = getattr(self, "_df_cache", None)
-        if cache is None:
-            cache = self._df_cache = {}
-        missing = [t for t in terms if t not in cache]
-        if missing:
-            partials = ray.get([a.doc_freqs.remote(missing)
-                                for a in self._one_actor_per_shard()])
-            for t in missing:
-                cache[t] = sum(p.get(t, 0) for p in partials)
-        dfs = {t: cache[t] for t in terms}
-        # round 2: every SHARD scores every query with the global stats,
-        # but the query batch is chunked across that shard's replicas so
-        # all size actors work (each query still reaches exactly one
-        # replica of each shard)
-        refs = []
-        for group in self._shard_groups():
-            r = len(group)
-            for j, actor in enumerate(group):
-                chunk = queries[j::r]
-                if chunk:
-                    refs.append(actor.search_chunk.remote(chunk, dfs,
-                                                          False))
-        tables = [t for t in ray.get(refs) if t.num_rows]
-        if not tables:
-            return _empty_result()
-        return _merge_topk_table(pa.concat_tables(tables), queries)
+            # not cached: fuzzy/regex expansions are query-dependent
+            dfs = {}
+            for p in ray.get([a.parsed_stat_terms.remote(queries)
+                              for a in self._one_actor_per_shard()]):
+                for t, df in p.items():
+                    dfs[t] = dfs.get(t, 0) + df
+        return self._scatter("search_parsed_chunk", queries, dfs)
 
     def reload(self) -> None:
         """Swap every replica to a fresh point-in-time snapshot of the
@@ -383,21 +313,16 @@ class SearcherPool:
         searcher generation is warmed, then the old one is dropped —
         queries in flight on old actors finish against the old
         snapshot; new batches see the new commit)."""
+        import ray
+
         old = self.actors
         fresh = SearcherPool(self._config[0], size=self._config[1],
                              use_wand=self._config[2],
                              num_cpus=self._config[3],
                              num_shards=self._config[4])
         fresh.warm()
-        self.actors = fresh.actors
-        self._shard_of = fresh._shard_of
-        self.shards = fresh.shards
-        self.num_shards = fresh.num_shards
-        self.size = fresh.size
-        self._df_cache = {}  # new commit → new global stats
+        self.__dict__.update(fresh.__dict__)  # new commit → new stats
         fresh.actors = []  # ownership moved; don't let GC kill them
-        import ray
-
         for a in old:
             ray.kill(a, no_restart=True)
 

@@ -927,32 +927,14 @@ def topk_by_fast_field(readers: Sequence[SegmentReader], query: Query,
 def evaluate_topk(readers: Sequence[SegmentReader], query: Query,
                   total_num_docs: int, average_fieldnorm: float,
                   k: int, doc_freq_of=None,
-                  field_avgs=None, pool=None) -> List[Tuple[float, int, int]]:
-    """Evaluate over segments + merge with collector tie rules.
+                  field_avgs=None) -> List[Tuple[float, int, int]]:
+    """Evaluate per segment, then merge with the collector tie rule."""
+    from .searcher import merge_topk, topk_hits
 
-    ``pool``: optional ThreadPoolExecutor — one task per segment
-    (reference Executor::ThreadPool, src/core/executor.rs:32-37); the
-    per-segment partials are order-independent and the final merge_topk
-    is deterministic, so threaded results are identical to serial."""
-    from .searcher import merge_topk
-
-    def one_segment(r: SegmentReader) -> List[Tuple[float, int, int]]:
+    hits: List[Tuple[float, int, int]] = []
+    for r in readers:
         ev = QueryEvaluator(r, total_num_docs, average_fieldnorm, doc_freq_of,
                             field_avgs=field_avgs)
         docs, scores = ev.evaluate(query)
-        if len(docs) > k:
-            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-            keep = scores >= kth
-            docs, scores = docs[keep], scores[keep]
-        order = np.lexsort((docs, -scores))[:k]
-        return [(float(scores[i]), r.segment_ord, int(docs[i]))
-                for i in order]
-
-    if pool is None:
-        partials = [one_segment(r) for r in readers]
-    else:
-        partials = list(pool.map(one_segment, readers))
-    hits: List[Tuple[float, int, int]] = []
-    for p in partials:
-        hits.extend(p)
+        hits.extend(topk_hits(docs, scores, k, [0], [r.segment_ord]))
     return merge_topk(hits, k)

@@ -103,40 +103,65 @@ def merge_topk(hits: Sequence[TopHit], k: int) -> List[TopHit]:
     return sorted(hits, key=lambda h: (-h[0], h[1], h[2]))[:k]
 
 
+def topk_hits(docs: np.ndarray, scores: np.ndarray, k: int,
+              bases: np.ndarray, ords: Sequence[int]) -> List[TopHit]:
+    """Exact top-k with the collector tie rule (score desc, doc asc) over
+    one doc space, mapped to (score, segment_ord, local doc).
+
+    ``bases[i]`` is the first doc of segment ``ords[i]`` in that space.
+    Finds the kth-largest score, keeps everything >= it (ties included),
+    then lexsorts only that slice."""
+    if len(docs) > k:
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        keep = scores >= kth
+        docs, scores = docs[keep], scores[keep]
+    order = np.lexsort((docs, -scores))[:k]
+    docs = docs[order].astype(np.int64)
+    seg_of = np.searchsorted(bases, docs, side="right") - 1
+    return list(zip(scores[order].tolist(),
+                    [ords[i] for i in seg_of.tolist()],
+                    (docs - np.asarray(bases)[seg_of]).tolist()))
+
+
+def global_topk(postings_of, terms: Sequence[str],
+                weights: Sequence[Bm25Weight], mode: str, k: int,
+                fids: np.ndarray, bases: np.ndarray, ords: Sequence[int],
+                alive: Optional[np.ndarray] = None) -> List[TopHit]:
+    """Candidate-sparse BM25 top-k over one concatenated doc space — the
+    one exhaustive scorer of a segment, a multi-segment searcher and the
+    merged index.  ``postings_of(term)`` gives (docs asc, tfs) in that
+    space or None; ``fids`` are its fieldnorm ids, ``alive`` its live
+    mask.  Global doc order == (segment_ord, doc_id) order, so the tie
+    rule equals per-segment scoring + ``merge_topk``.
+
+    Memory: O(matched postings) for the query — a rare term over a shard
+    of 10^8 docs touches only its candidates (see ``_sparse_accumulate``)."""
+    parts = []
+    for term, w in zip(terms, weights):
+        p = postings_of(term)
+        if p is None:
+            continue
+        docs, tfs = p
+        parts.append((docs, w.score(fids[docs], tfs)))
+    if mode == "and" and len(parts) < len(terms):
+        return []
+    cand, scores, nmatch = _sparse_accumulate(parts, int(bases[-1]))
+    if mode == "and":
+        keep = nmatch == len(terms)
+        cand, scores = cand[keep], scores[keep]
+    if alive is not None and len(cand):
+        keep = alive[cand]
+        cand, scores = cand[keep], scores[keep]
+    if len(cand) == 0:
+        return []
+    return topk_hits(cand, scores, k, bases, ords)
+
+
 class SegmentSearcher:
     """Per-segment scoring (the reference's per-segment collect)."""
 
     def __init__(self, reader: SegmentReader):
         self.reader = reader
-
-    def score_exhaustive(
-        self, terms: Sequence[str], weights: Sequence[Bm25Weight], mode: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """→ (matching doc ids ascending, f32 scores).
-
-        Candidate-sparse: memory is O(matched postings), never
-        O(segment docs) — see ``_sparse_accumulate``."""
-        fids = self.reader.fieldnorm_ids
-        parts = []
-        for term, w in zip(terms, weights):
-            p = self.reader.postings(term)
-            if p is None:
-                continue
-            docs, tfs = p
-            parts.append((docs, w.score(fids[docs], tfs)))
-        if mode == "and" and len(parts) < len(terms):
-            return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32)
-        cand, scores, nmatch = _sparse_accumulate(parts,
-                                                  self.reader.num_docs)
-        if mode == "and":
-            keep = nmatch == len(terms)
-            cand, scores = cand[keep], scores[keep]
-        cand = cand.astype(np.uint32)
-        alive = self.reader.alive_mask
-        if alive is not None and len(cand):
-            keep = alive[cand]
-            cand, scores = cand[keep], scores[keep]
-        return cand, scores
 
     def topk(
         self,
@@ -169,15 +194,10 @@ class SegmentSearcher:
                 alive_mask=self.reader.alive_mask,
             )
         else:
-            docs, scores = self.score_exhaustive(terms, weights, mode)
-            if len(docs) > k:
-                # exact top-k with tie rule: find the kth-largest score, keep
-                # everything >= it (ties included), then lexsort that slice
-                kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-                keep = scores >= kth
-                docs, scores = docs[keep], scores[keep]
-            order = np.lexsort((docs, -scores))[:k]
-            docs, scores = docs[order], scores[order]
+            r = self.reader
+            return global_topk(r.postings, terms, weights, mode, k,
+                               r.fieldnorm_ids, np.array([0, r.num_docs]),
+                               [r.segment_ord], r.alive_mask)
         seg = self.reader.segment_ord
         return [(float(s), seg, int(d)) for d, s in zip(docs, scores)]
 
@@ -190,22 +210,15 @@ class IndexSearcher:
     locally."""
 
     def __init__(self, index_dir: str, segment_ords: Optional[Sequence[int]] = None,
-                 manifest: Optional[IndexManifest] = None,
-                 num_threads: int = 0):
+                 manifest: Optional[IndexManifest] = None):
         self.index_dir = index_dir
         self.manifest = manifest or load_manifest(index_dir)
-        # per-segment search parallelism INSIDE this searcher (reference
-        # Executor::ThreadPool, src/core/executor.rs:32-37: one task per
-        # segment).  0/1 = serial.  numpy kernels release the GIL, so
-        # threads overlap the scoring work on many-segment indexes.
-        self.num_threads = int(num_threads)
-        self._seg_pool = None
         ords = (
             [s["segment_ord"] for s in self.manifest.segments]
             if segment_ords is None
             else list(segment_ords)
         )
-        # ascending ords are a structural invariant: _search_global's
+        # ascending ords are a structural invariant: global_topk's
         # tie-break (global doc order == DocAddress order) and the
         # per-segment merge_topk path must agree on segment order
         ords.sort()
@@ -307,78 +320,15 @@ class IndexSearcher:
             return []
         weights = self.make_weights(terms, doc_freqs)
         if not use_wand and len(self.readers) > 1:
-            return self._search_global(terms, weights, mode, k)
+            gv = self._global_view()
+            return global_topk(self._global_postings, terms, weights, mode,
+                               k, gv["fids"], gv["bases"],
+                               [r.segment_ord for r in self.readers],
+                               gv["alive"])
         hits: List[TopHit] = []
-        for seg_hits in self._map_searchers(
-                lambda s: s.topk(terms, weights, mode, k,
-                                 use_wand=use_wand)):
-            hits.extend(seg_hits)
+        for s in self.searchers:
+            hits.extend(s.topk(terms, weights, mode, k, use_wand=use_wand))
         return merge_topk(hits, k)
-
-    def _executor(self):
-        """Lazy per-searcher thread pool (reference executor.rs:32-37);
-        None when serial."""
-        if self.num_threads > 1 and self._seg_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._seg_pool = ThreadPoolExecutor(
-                max_workers=self.num_threads,
-                thread_name_prefix="seg-search")
-        return self._seg_pool
-
-    def _map_searchers(self, fn):
-        """fn over every SegmentSearcher, in segment order — threaded
-        when num_threads > 1, else a plain loop.  Per-segment results
-        are independent; the deterministic merge happens downstream."""
-        pool = self._executor()
-        if pool is None:
-            return [fn(s) for s in self.searchers]
-        return list(pool.map(fn, self.searchers))
-
-    def _search_global(self, terms, weights, mode: str, k: int) -> List[TopHit]:
-        """Candidate-sparse scoring over the concatenated global doc space —
-        identical results to per-segment scoring + merge (same f32 ops per
-        doc in term order; global doc order == DocAddress order).
-
-        Memory: O(matched postings) for the query — a rare term over a
-        shard of 10^8 docs touches only its candidates; the dense
-        O(shard-docs) accumulator this replaces paid ~0.5 GB of zeroed +
-        scattered memory per query at that scale."""
-        gv = self._global_view()
-        fids = gv["fids"]
-        n_present = 0
-        parts = []
-        for term, w in zip(terms, weights):
-            p = self._global_postings(term)
-            if p is None:
-                continue
-            n_present += 1
-            docs, tfs = p
-            parts.append((docs, w.score(fids[docs], tfs)))
-        if mode == "and" and n_present < len(terms):
-            return []
-        cand, scores, nmatch = _sparse_accumulate(
-            parts, int(gv["bases"][-1]))
-        if mode == "and":
-            keep = nmatch == len(terms)
-            cand, scores = cand[keep], scores[keep]
-        if gv["alive"] is not None and len(cand):
-            keep = gv["alive"][cand]
-            cand, scores = cand[keep], scores[keep]
-        if len(cand) == 0:
-            return []
-        if len(cand) > k:
-            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
-            keep = scores >= kth
-            cand, scores = cand[keep], scores[keep]
-        order = np.lexsort((cand, -scores))[:k]
-        cand, scores = cand[order], scores[order]
-        seg_of = np.searchsorted(gv["bases"], cand, side="right") - 1
-        ords = [r.segment_ord for r in self.readers]
-        return [
-            (float(s), ords[int(si)], int(d - gv["bases"][int(si)]))
-            for s, si, d in zip(scores, seg_of, cand)
-        ]
 
     def search_text(self, query: str, mode: str = "or", k: int = 10,
                     use_wand: bool = False) -> List[TopHit]:
@@ -419,15 +369,11 @@ class IndexSearcher:
             return self.search(terms, mode, k,
                                doc_freqs=({t: doc_freq_of(t) for t in terms}
                                           if doc_freq_of else None))
-        # lazy per-reader caches (term tables, fieldnorms) are loaded
-        # idempotently — a concurrent first touch from two segment tasks
-        # just builds the same array twice — so threading is safe
         return evaluate_topk(
             self.readers, query, self.total_num_docs,
             self.average_fieldnorm, k,
             doc_freq_of=doc_freq_of or self.doc_freq,
             field_avgs=self.field_average_fieldnorms(),
-            pool=self._executor(),
         )
 
     @staticmethod

@@ -129,6 +129,41 @@ def test_term_stats_carry_across_parts_files(tmp_path, monkeypatch):
         stats.column("doc_freq")[terms.index(w)].as_py() for w in words]
 
 
+@pytest.mark.usefixtures("ray_session")
+def test_parts_files_sorted_with_disjoint_row_groups(tmp_path):
+    """Each parts file is strictly (term, salt)-ordered and consecutive
+    row groups cover disjoint term ranges, so row-group statistics can
+    prune ``MergedIndexReader._term_rows`` reads.  Tail terms of one
+    segment pass through; head terms of both are re-encoded; every file
+    holds both kinds."""
+    rng = np.random.default_rng(11)
+    tail = rng.integers(0, 30000, size=(4000, 5))
+    head = rng.zipf(1.5, size=(4000, 5)) % 200
+    texts = [" ".join([f"t{i}" for i in a] + [f"h{i}" for i in b])
+             for a, b in zip(tail, head)]
+    src = str(tmp_path / "docs.parquet")
+    pq.write_table(pa.table({"doc_id": np.arange(4000), "text": texts}),
+                   src)
+    idx, mg = str(tmp_path / "ix"), str(tmp_path / "mg")
+    build_index(src, idx, id_col="doc_id", docs_per_segment=2000)
+    merge_segments(idx, mg)
+    parts = sorted(os.listdir(os.path.join(mg, "parts")))
+    row_groups = 0
+    for name in parts:
+        pf = pq.ParquetFile(os.path.join(mg, "parts", name))
+        t = pf.read(columns=["term", "salt"])
+        keys = list(zip(t.column("term").to_pylist(),
+                        t.column("salt").to_pylist()))
+        assert all(a < b for a, b in zip(keys, keys[1:])), name
+        col = pf.schema_arrow.get_field_index("term")
+        ranges = [(st.min, st.max) for st in (
+            pf.metadata.row_group(i).column(col).statistics
+            for i in range(pf.num_row_groups))]
+        assert all(a[1] < b[0] for a, b in zip(ranges, ranges[1:])), name
+        row_groups += len(ranges)
+    assert row_groups > len(parts) >= 1
+
+
 @pytest.fixture(scope="module")
 def title_index(tmp_path_factory, ray_session, sf_dir):
     """The test corpus with a ``title`` extra text field and positions,

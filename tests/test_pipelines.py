@@ -7,6 +7,8 @@ groupby-term merge equivalence (merged == stacked per-segment postings)."""
 import os
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
 from tantivy_ray.index import build_index, load_manifest
@@ -17,7 +19,8 @@ from tantivy_ray.pipelines import (
     search_pipeline,
     write_pages_parquet,
 )
-from tantivy_ray.search import IndexSearcher
+from tantivy_ray.pipelines.search_pipeline import parsed_search_pipeline
+from tantivy_ray.search import IndexSearcher, SearcherPool
 
 
 class TestPagesGenerator:
@@ -49,13 +52,13 @@ def pages_index(tmp_path_factory, ray_session):
     pq_path = str(d / "pages.parquet")
     write_pages_parquet(pq_path, 600, row_group_size=100)
     idx = str(d / "ix")
-    build_index(pq_path, idx, docs_per_segment=250)
+    build_index(pq_path, idx, docs_per_segment=100)  # 6 segments
     return idx
 
 
 @pytest.mark.usefixtures("ray_session")
 class TestSearchPipeline:
-    @pytest.mark.parametrize("num_shards", [1, 3])
+    @pytest.mark.parametrize("num_shards", [1, 3, 6])
     def test_matches_direct_search(self, pages_index, num_shards):
         tbl = search_pipeline(
             pages_index, REFERENCE_QUERY_SET, num_shards=num_shards
@@ -69,20 +72,6 @@ class TestSearchPipeline:
             for (score, seg, doc), row in zip(exp, got.itertuples()):
                 assert row.segment_ord == seg and row.doc_id == doc, (qid, terms)
                 assert np.float32(row.score) == np.float32(score)
-
-    def test_single_pool_scatter_gather_identical(self, pages_index):
-        """(query x shard) product through ONE actor pool must equal the
-        one-pool-per-shard topology bit for bit."""
-        legacy = search_pipeline(
-            pages_index, REFERENCE_QUERY_SET, num_shards=3,
-            single_pool=False,
-        ).to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
-        pooled = search_pipeline(
-            pages_index, REFERENCE_QUERY_SET, num_shards=3,
-            single_pool=True,
-        ).to_pandas().sort_values(["query_id", "rank"]).reset_index(drop=True)
-        assert legacy.shape == pooled.shape
-        assert (legacy.values == pooled.values).all()
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -129,9 +118,6 @@ class TestMerge:
 @pytest.mark.usefixtures("ray_session")
 class TestParsedSearchPipeline:
     def test_matches_parse_and_search(self, pages_index):
-        from tantivy_ray.pipelines.search_pipeline import (
-            parsed_search_pipeline)
-
         # pages_index has no positions → no phrase queries here (those
         # are covered by test_query_ops over a positional index)
         queries = [
@@ -151,3 +137,26 @@ class TestParsedSearchPipeline:
             for (score, seg, doc), row in zip(exp, got.itertuples()):
                 assert (row.segment_ord, row.doc_id) == (seg, doc), (qid, q)
                 assert np.float32(row.score) == np.float32(score)
+
+    def test_parses_with_the_index_analyzer(self, tmp_path):
+        """On an en_stem index ``running`` must stem to ``run`` in the
+        pipeline and the pool, as it does in parse_and_search."""
+        src = str(tmp_path / "docs.parquet")
+        pq.write_table(pa.table({
+            "url": ["a", "b", "c"],
+            "text": ["he runs home", "running late", "a quiet walk"]}), src)
+        idx = str(tmp_path / "ix")
+        build_index(src, idx, analyzer="en_stem")
+        queries = [(0, "running", 5)]
+        want = IndexSearcher(idx).parse_and_search("running", 5)
+        assert len(want) == 2
+        pool = SearcherPool(idx, size=1)
+        pool.warm()
+        try:
+            pooled = pool.search_parsed_batch(queries)
+        finally:
+            pool.close()
+        for tbl in (parsed_search_pipeline(idx, queries, concurrency=1),
+                    pooled):
+            assert list(zip(*(tbl.column(c).to_pylist() for c in (
+                "score", "segment_ord", "doc_id")))) == want

@@ -481,7 +481,8 @@ _SEG_DOCS = (400, 300, 500)          # doc bases 0, 400, 700
 
 
 def _reference_reduce(tbl, avg_fieldnorm, index_dir):
-    """The per-group reduction the batched reducer replaced."""
+    """The per-group reduction the batched reducer replaced; groups come
+    out in their (term, salt) input order."""
     import os
 
     from tantivy_ray.index.merge import _MERGED_SCHEMA
@@ -494,14 +495,14 @@ def _reference_reduce(tbl, avg_fieldnorm, index_dir):
                 recs[s]["term"], recs[s]["salt"]):
             groups.append((s, i))
             s = i
-    fast, slow = [], []
+    out = []
     for s, e in groups:
         if e - s == 1 and recs[s]["blob"]:
             r = recs[s]
-            fast.append({k: r[k] for k in ("term", "salt", "doc_freq",
-                                           "first_doc", "last_doc",
-                                           "doc_base", "pos")}
-                        | {"postings": r["blob"]})
+            out.append({k: r[k] for k in ("term", "salt", "doc_freq",
+                                          "first_doc", "last_doc",
+                                          "doc_base", "pos")}
+                       | {"postings": r["blob"]})
             continue
         docs, tfs, fids, pos = [], [], [], []
         for r in sorted(recs[s:e], key=lambda r: r["first_doc"]):
@@ -521,7 +522,7 @@ def _reference_reduce(tbl, avg_fieldnorm, index_dir):
             pos.append(r["pos"])
         docs = np.concatenate(docs)
         assert (np.diff(docs) > 0).all()
-        slow.append({
+        out.append({
             "term": recs[s]["term"], "salt": recs[s]["salt"],
             "doc_freq": len(docs), "first_doc": int(docs[0]),
             "last_doc": int(docs[-1]), "doc_base": 0,
@@ -530,7 +531,7 @@ def _reference_reduce(tbl, avg_fieldnorm, index_dir):
                 np.concatenate(fids), cache, fids_per_posting=True),
             "pos": b"".join(pos) if all(pos) else b"",
         })
-    return pa.Table.from_pylist(fast + slow, schema=_MERGED_SCHEMA)
+    return pa.Table.from_pylist(out, schema=_MERGED_SCHEMA)
 
 
 class TestBatchedReducer:

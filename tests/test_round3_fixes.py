@@ -182,18 +182,6 @@ class TestTermsOrder:
 # ----------------------------------------------------------- search_pipeline
 
 
-def test_single_pool_true_with_one_shard(tmp_path, ray_session):
-    from tantivy_ray.pipelines.search_pipeline import search_pipeline
-
-    idx = build_test_index(tmp_path, CORPUS)
-    queries = [(0, ["fox", "dog"], "or", 5), (1, ["quick"], "or", 3)]
-    want = search_pipeline(idx, queries, num_shards=1, concurrency=1)
-    got = search_pipeline(idx, queries, num_shards=1, concurrency=1,
-                          single_pool=True)  # previously KeyError'd
-    assert got.column_names == want.column_names
-    assert got.to_pydict() == want.to_pydict()
-
-
 def test_searcher_pool_sharded_parity(tmp_path, ray_session):
     """Sharded SearcherPool (persistent scatter-gather: df round + score
     round + driver merge) == search_pipeline(num_shards=3)."""

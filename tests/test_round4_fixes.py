@@ -236,8 +236,8 @@ class TestSessionizeBoundary:
 
 class TestCrossSegmentQueryDispatch:
     """VERDICT r3 item 10: flat term booleans route through the global
-    vectorized pass; the per-segment executor (num_threads) and the
-    serial evaluator loop stay f32/rank-identical."""
+    vectorized pass and stay f32/rank-identical to the per-segment
+    evaluator loop."""
 
     @pytest.fixture(scope="class")
     def many_seg_ix(self, tmp_path_factory):
@@ -290,20 +290,6 @@ class TestCrossSegmentQueryDispatch:
             minimum_should_match=2)) is None
         assert s._flat_bool_terms(
             BooleanQuery(must=[PhraseQuery(["quick", "brown"])])) is None
-
-    def test_threaded_executor_identical(self, many_seg_ix):
-        from tantivy_ray.search.query import (BooleanQuery, PhraseQuery,
-                                              TermQuery)
-
-        s0 = IndexSearcher(many_seg_ix)
-        s4 = IndexSearcher(many_seg_ix, num_threads=4)
-        cases = [
-            PhraseQuery(["quick", "brown"]),
-            BooleanQuery(must=[TermQuery("fox"),
-                               PhraseQuery(["lazy", "dog"])]),
-        ]
-        for q in cases:
-            assert s0.search_query(q, 10) == s4.search_query(q, 10)
 
     def test_phrase_vectorized_matches_loop(self, many_seg_ix):
         """The keyed-intersection phrase kernel == the per-doc loop it

@@ -17,6 +17,8 @@ after the final cast.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .fieldnorm import FIELD_NORMS_TABLE
@@ -37,15 +39,23 @@ def idf(doc_freq: int, doc_count: int) -> np.float32:
 
 
 def compute_tf_cache(average_fieldnorm: np.float32) -> np.ndarray:
-    """256-entry f32 cache of K1*(1 - B + B*fieldnorm/avg).
+    """256-entry f32 cache of K1*(1 - B + B*fieldnorm/avg), read-only and
+    memoised per f32 average (every term weight of a searcher shares
+    one average, so a query chunk builds its table once).
 
     avg <= 0 (a field with no tokens at all — nothing will ever be scored
     against it) falls back to 1.0 to keep the cache finite."""
-    avg = np.float32(average_fieldnorm)
+    return _tf_cache(np.float32(average_fieldnorm))
+
+
+@lru_cache(maxsize=256)
+def _tf_cache(avg: np.float32) -> np.ndarray:
     if not (avg > 0):
         avg = np.float32(1.0)
     fieldnorms = FIELD_NORMS_TABLE.astype(np.float32)
-    return (K1 * (ONE - B + B * fieldnorms / avg)).astype(np.float32)
+    cache = (K1 * (ONE - B + B * fieldnorms / avg)).astype(np.float32)
+    cache.setflags(write=False)
+    return cache
 
 
 class Bm25Weight:

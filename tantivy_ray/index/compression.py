@@ -14,10 +14,11 @@ Differences (documented, results-equivalent):
 - skip data is laid out struct-of-arrays so a reader can view it zero-copy
   with ``np.frombuffer`` on an mmap.
 
-Encoding and bulk decoding are batched: ``encode_postings_batch`` and
+Encoding and decoding are batched: ``encode_postings_batch`` and
 ``decode_postings_batch`` process every block of many terms in one set of
-vectorized passes (the segment build and the merge reducer both use them);
-``TermPostingsReader`` is the per-term block cursor for serving.
+vectorized passes.  The segment build, the merge reducer and serving
+(a query chunk's terms, one call per segment) all use them;
+``TermPostingsReader`` is only block-max WAND's per-term block cursor.
 
 Per-term blob layout (little-endian):
     u32 doc_freq
@@ -123,13 +124,6 @@ def _put(out: np.ndarray, starts: np.ndarray, values: np.ndarray) -> None:
     out[(starts[:, None] + np.arange(k)).ravel()] = values.view(np.uint8)
 
 
-def _take(buf: np.ndarray, starts: np.ndarray, dtype) -> np.ndarray:
-    """Read one fixed-size little-endian value at each byte ``start``."""
-    k = np.dtype(dtype).itemsize
-    return np.ascontiguousarray(
-        buf[(starts[:, None] + np.arange(k)).ravel()]).view(dtype)
-
-
 def _pack_runs(out: np.ndarray, dest: np.ndarray, values: np.ndarray,
                starts: np.ndarray, counts: np.ndarray, width: int) -> None:
     """Bitpack every run ``values[starts[i]:starts[i] + counts[i]]`` at
@@ -147,23 +141,6 @@ def _pack_runs(out: np.ndarray, dest: np.ndarray, values: np.ndarray,
     size = (counts * width + 7) // 8
     out[gather_ranges(dest, size)] = packed[
         gather_ranges(p_first * width // 8, size)]
-
-
-def _unpack_runs(buf: np.ndarray, src: np.ndarray, counts: np.ndarray,
-                 width: int) -> np.ndarray:
-    """Inverse of ``_pack_runs``: the runs at byte offsets ``src`` → their
-    values laid end to end (uint32)."""
-    padded = (counts + 7) & ~7
-    p_first = np.cumsum(padded) - padded
-    size = (counts * width + 7) // 8
-    packed = np.zeros(int(padded.sum()) * width // 8, dtype=np.uint8)
-    packed[gather_ranges(p_first * width // 8, size)] = buf[
-        gather_ranges(src, size)]
-    bits = np.zeros((int(padded.sum()), 32), dtype=np.uint8)
-    bits[:, :width] = np.unpackbits(packed, bitorder="little").reshape(
-        -1, width)
-    vals = np.packbits(bits, axis=1, bitorder="little").view("<u4").ravel()
-    return vals[gather_ranges(p_first, counts)]
 
 
 def _block_layout(counts: np.ndarray):
@@ -309,64 +286,95 @@ def encode_term_postings(
     return buf.tobytes()
 
 
-def _decode_pass(buf: np.ndarray, offsets: np.ndarray, counts: np.ndarray,
-                 nb: np.ndarray, docs_out: np.ndarray,
-                 tfs_out: np.ndarray) -> None:
-    """Decode the blobs at byte ``offsets`` of ``buf`` (``counts`` postings
-    and ``nb`` blocks each) into docs_out/tfs_out, end to end."""
-    blk_term, b, blk_start, blk_cnt, _ = _block_layout(counts)
-    skip = offsets[blk_term] + 8
-    nbb = nb[blk_term]
-    doc_bw = buf[skip + 4 * nbb + b]
-    tf_bw = buf[skip + 5 * nbb + b]
-    data = (skip + _SKIP_BYTES * nbb
-            + _take(buf, skip + 11 * nbb + 4 * b, "<u4"))
-    deltas = np.empty(len(docs_out), dtype=np.uint32)
-    for bw, out, src in ((doc_bw, deltas, data),
-                         (tf_bw, tfs_out, data + (blk_cnt * doc_bw + 7) // 8)):
-        for w in np.unique(bw):
-            sel = np.flatnonzero(bw == w)
-            dest = gather_ranges(blk_start[sel], blk_cnt[sel])
-            out[dest] = (0 if w == 0 else
-                         _unpack_runs(buf, src[sel], blk_cnt[sel], int(w)))
+_MASKS = (np.uint64(1) << np.arange(33, dtype=np.uint64)) - np.uint64(1)
+
+
+def _words(buf: np.ndarray, dtype) -> np.ndarray:
+    """Unaligned view: element j is the little-endian ``dtype`` value at
+    byte j of ``buf`` (zero-copy, strides of one byte)."""
+    k = np.dtype(dtype).itemsize
+    return np.ndarray((max(0, len(buf) - k + 1),), dtype=dtype, buffer=buf,
+                      strides=(1,))
+
+
+def _decode_pass(buf: np.ndarray, u32: np.ndarray, u64: np.ndarray,
+                 offsets: np.ndarray, counts: np.ndarray, ends: np.ndarray,
+                 nb: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Decode the blobs at byte ``offsets`` of ``buf`` (``counts``
+    postings, ``ends`` their running total, and ``nb`` blocks each)
+    → (docs, tfs) end to end.
+
+    One pass for every width, docs and tfs alike: code j of a run of
+    ``w``-bit codes at bit ``s`` is the 8 bytes at byte (s + j*w) >> 3
+    (``u64``) shifted right by the bit remainder and masked to ``w``
+    bits — w <= 32 plus a shift <= 7 fits the 64-bit word.  A word that
+    would run past the buffer end is read from the last 8 bytes with a
+    larger shift (a code never ends past the buffer)."""
+    B = COMPRESSION_BLOCK_SIZE
+    n = int(ends[-1])
+    nbb = nb.repeat(nb)
+    b = np.arange(len(nbb)) - (nb.cumsum() - nb).repeat(nb)
+    # skip section of block b: doc_bw at p, tf_bw at p + nb, data_off at
+    # p + 7nb + 3b; the data section starts at p + 11nb - b
+    p = (offsets + 4 * nb + 8).repeat(nb) + b
+    bw = np.concatenate((buf[p], buf[p + nbb])).astype(np.int64)
+    data = u32[p + 7 * nbb + 3 * b] + (p + 11 * nbb - b)
+    cnt = np.minimum(counts.repeat(nb) - B * b, B)
+    # every block's doc run, then every block's tf run (tfs land at n+):
+    # code i of the pass sits at bit start[run] + i * width[run]
+    cnt2 = np.concatenate((cnt, cnt))
+    first = cnt2.cumsum() - cnt2
+    start = 8 * np.concatenate(
+        (data, data + ((cnt * bw[:len(cnt)] + 7) >> 3))) - first * bw
+    width = bw.repeat(cnt2)
+    bit = start.repeat(cnt2) + np.arange(2 * n) * width
+    byte = np.minimum(bit >> 3, len(u64) - 1)
+    vals = (u64[byte] >> (bit - 8 * byte).view(np.uint64)) & _MASKS[width]
     # doc ids: per-term prefix sums of the deltas, from virtual doc -1
-    cs = np.cumsum(deltas, dtype=np.int64)
-    before = np.concatenate(([0], cs))[np.cumsum(counts) - counts]
-    docs_out[:] = cs - np.repeat(before, counts) - 1
+    cs = vals[:n].cumsum().view(np.int64)
+    before = np.concatenate(([1], cs[ends[:-1] - 1] + 1))
+    return ((cs - before.repeat(counts)).astype(np.uint32),
+            vals[n:].astype(np.uint32))
 
 
 def decode_postings_batch(
     buf: np.ndarray, offsets: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode many term blobs in a few vectorized passes (the inverse of
-    ``encode_postings_batch``).
+    ``encode_postings_batch``) — the one postings decoder, for a single
+    query's terms and a whole segment alike.
 
     buf: uint8 array holding the blobs (zero-copy views of an mmap or an
     Arrow buffer work); offsets: each blob's byte offset in ``buf`` (a
     blob's length follows from its header).  Blobs are taken
-    ~BATCH_POSTINGS postings at a time, one bit unpack per distinct
-    width per pass.
+    ~BATCH_POSTINGS postings at a time, each pass the same fixed
+    sequence of array ops whatever the bit widths.
 
     → (docs, tfs, counts): every blob's postings end to end in
     ``offsets`` order (uint32), and the posting count of each (int64).
     """
     offsets = np.asarray(offsets, dtype=np.int64)
-    counts = _take(buf, offsets, "<u4").astype(np.int64)
-    nb = _take(buf, offsets + 4, "<u4").astype(np.int64)
-    docs = np.empty(int(counts.sum()), dtype=np.uint32)
-    tfs = np.empty(len(docs), dtype=np.uint32)
-    out_first = np.cumsum(counts) - counts
+    u32, u64 = _words(buf, "<u4"), _words(buf, "<u8")
+    counts = u32[offsets].astype(np.int64)
+    nb = u32[offsets + 4].astype(np.int64)
+    ends = counts.cumsum()
+    if len(ends) and ends[-1] <= BATCH_POSTINGS:   # one pass holds all
+        return (*_decode_pass(buf, u32, u64, offsets, counts, ends, nb),
+                counts)
     bounds = batch_bounds(counts)
-    for t0, t1 in zip(bounds[:-1], bounds[1:]):
-        p0 = int(out_first[t0])
-        p1 = p0 + int(counts[t0:t1].sum())
-        _decode_pass(buf, offsets[t0:t1], counts[t0:t1], nb[t0:t1],
-                     docs[p0:p1], tfs[p0:p1])
-    return docs, tfs, counts
+    passes = [_decode_pass(buf, u32, u64, offsets[t0:t1], counts[t0:t1],
+                           ends[t0:t1] - (ends[t0 - 1] if t0 else 0),
+                           nb[t0:t1])
+              for t0, t1 in zip(bounds[:-1], bounds[1:])]
+    empty = np.empty(0, dtype=np.uint32)
+    return (np.concatenate([d for d, _ in passes] or [empty]),
+            np.concatenate([t for _, t in passes] or [empty]), counts)
 
 
 class TermPostingsReader:
-    """Zero-copy cursor over one term's encoded blob (mmap-friendly)."""
+    """Zero-copy block cursor over one term's encoded blob — block-max
+    WAND's reader (skip entries, block-max pairs, one block at a time);
+    whole posting lists decode through ``decode_postings_batch``."""
 
     __slots__ = (
         "doc_freq", "n_blocks", "last_doc", "doc_bw", "tf_bw",
@@ -385,11 +393,7 @@ class TermPostingsReader:
         self.wand_fid = np.frombuffer(buf[o:o + nb], dtype=np.uint8); o += nb
         self.wand_tf = np.frombuffer(buf[o:o + 4 * nb], dtype=np.uint32); o += 4 * nb
         self.data_off = np.frombuffer(buf[o:o + 4 * nb], dtype=np.uint32); o += 4 * nb
-        # re-class a memmap payload view to plain ndarray (zero-copy):
-        # np.memmap.__array_finalize__ otherwise rides along on EVERY
-        # block slice in the decode hot loops (profiled at 1.5M calls /
-        # 2.1 s over a 3600-query WAND run)
-        self._data = buf[o:].view(np.ndarray)
+        self._data = buf[o:]
 
     def block_count(self, b: int) -> int:
         if b + 1 < self.n_blocks:
@@ -411,64 +415,3 @@ class TermPostingsReader:
         docs += base if b > 0 else np.uint32(0)
         docs -= 1 if b == 0 else 0
         return docs, tfs
-
-    def decode_all(self) -> Tuple[np.ndarray, np.ndarray]:
-        """→ (docs, tfs) for the whole list.
-
-        Full 128-doc blocks are decoded in batches grouped by bit width
-        (one unpackbits + one matmul per distinct width instead of one per
-        block) — posting lists overwhelmingly share widths across blocks,
-        so head terms decode in O(#distinct widths) python steps."""
-        n = self.doc_freq
-        if n == 0:
-            z = np.empty(0, dtype=np.uint32)
-            return z, z
-        nb = self.n_blocks
-        n_full = nb if n % COMPRESSION_BLOCK_SIZE == 0 else nb - 1
-        docs = np.empty(n, dtype=np.uint32)
-        tfs = np.empty(n, dtype=np.uint32)
-        B = COMPRESSION_BLOCK_SIZE
-        if n_full > 0:
-            doc_bw = np.asarray(self.doc_bw[:n_full])
-            tf_bw = np.asarray(self.tf_bw[:n_full])
-            offs = np.asarray(self.data_off[:n_full], dtype=np.int64)
-            # base doc per block: -1 (virtual) then previous last_doc
-            bases = np.empty(n_full, dtype=np.int64)
-            bases[0] = -1
-            bases[1:] = np.asarray(self.last_doc[:n_full - 1], dtype=np.int64)
-            docs_view = docs[:n_full * B].reshape(n_full, B)
-            tfs_view = tfs[:n_full * B].reshape(n_full, B)
-            for w in np.unique(doc_bw):
-                w = int(w)
-                idx = np.flatnonzero(doc_bw == w)
-                if w == 0:
-                    deltas = np.zeros((len(idx), B), dtype=np.uint32)
-                else:
-                    size = packed_size(B, w)
-                    buf = np.concatenate(
-                        [self._data[offs[i]:offs[i] + size] for i in idx])
-                    deltas = bitunpack(buf, len(idx) * B, w).reshape(len(idx), B)
-                docs_view[idx] = (
-                    np.cumsum(deltas, axis=1, dtype=np.int64)
-                    + bases[idx][:, None]
-                ).astype(np.uint32)
-            for w in np.unique(tf_bw):
-                w = int(w)
-                idx = np.flatnonzero(tf_bw == w)
-                if w == 0:
-                    tfs_view[idx] = 0
-                else:
-                    size = packed_size(B, w)
-                    buf = np.concatenate([
-                        self._data[offs[i] + packed_size(B, int(doc_bw[i])):
-                                   offs[i] + packed_size(B, int(doc_bw[i])) + size]
-                        for i in idx
-                    ])
-                    tfs_view[idx] = bitunpack(
-                        buf, len(idx) * B, w).reshape(len(idx), B)
-        if n_full < nb:
-            tdocs, ttfs = self.decode_block(nb - 1)
-            docs[n_full * B:] = tdocs
-            tfs[n_full * B:] = ttfs
-        return docs, tfs
-

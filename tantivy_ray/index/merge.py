@@ -53,7 +53,6 @@ import pyarrow.parquet as pq
 
 from ..bm25 import compute_tf_cache
 from .compression import (
-    TermPostingsReader,
     batch_bounds,
     decode_postings_batch,
     encode_postings_batch,
@@ -856,15 +855,14 @@ class MergedIndexReader:
         rows = self._term_rows(term)
         if rows is None:
             return None
-        docs_parts, tf_parts = [], []
-        for _, blob, base, _pos in rows:
-            r = TermPostingsReader(np.frombuffer(blob, dtype=np.uint8))
-            d, tf = r.decode_all()
-            # pass-through fragments store segment-local doc ids + base
-            docs_parts.append(d.astype(np.int64) + base if base
-                              else d.astype(np.int64))
-            tf_parts.append(tf)
-        return np.concatenate(docs_parts), np.concatenate(tf_parts)
+        # every fragment blob in one decode; pass-through fragments store
+        # segment-local doc ids plus their doc_base
+        lens = [len(blob) for _, blob, _, _ in rows]
+        docs, tfs, cnt = decode_postings_batch(
+            np.frombuffer(b"".join(r[1] for r in rows), dtype=np.uint8),
+            np.cumsum(lens) - lens)
+        bases = np.array([r[2] or 0 for r in rows], dtype=np.int64)
+        return docs.astype(np.int64) + bases.repeat(cnt), tfs
 
     def positions(self, term: str):
         """Per-posting position arrays (absolute, doc order) from the

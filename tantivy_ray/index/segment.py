@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -41,7 +41,8 @@ import pyarrow.parquet as pq
 from ..analyzer import analyze_batch
 from ..bm25 import compute_tf_cache
 from ..fieldnorm import fieldnorms_to_ids, ids_to_fieldnorms
-from .compression import TermPostingsReader, encode_postings_batch
+from .compression import (TermPostingsReader, decode_postings_batch,
+                          encode_postings_batch)
 
 SEGMENT_PREFIX = "seg-"
 
@@ -352,15 +353,17 @@ class SegmentReader:
         self.term_first_doc = tt.column("first_doc").to_numpy()
         self.term_last_doc = tt.column("last_doc").to_numpy()
 
+        # plain-ndarray views of the mmaps (zero-copy): slicing and
+        # gathers on an np.memmap pay its __array_finalize__ every time
         p = os.path.join(seg_path, "postings.bin")
         self._postings = (
-            np.memmap(p, dtype=np.uint8, mode="r")
+            np.memmap(p, dtype=np.uint8, mode="r").view(np.ndarray)
             if os.path.getsize(p) > 0
             else np.empty(0, dtype=np.uint8)
         )
         pp = os.path.join(seg_path, "positions.bin")
         self._positions_blob = (
-            np.memmap(pp, dtype=np.uint8, mode="r")
+            np.memmap(pp, dtype=np.uint8, mode="r").view(np.ndarray)
             if os.path.exists(pp) and os.path.getsize(pp) > 0
             else None
         )
@@ -456,15 +459,26 @@ class SegmentReader:
         s = int(self._off[o])
         return TermPostingsReader(self._postings[s:s + int(self._len[o])])
 
+    def postings_many(self, terms: Sequence[str]) -> Dict[str, tuple]:
+        """term → (docs, tfs) for every present term of ``terms``: one
+        term-dict lookup each and ONE batch decode (not cached)."""
+        ords = {t: o for t in terms if (o := self.term_ord(t)) is not None}
+        if not ords:
+            return {}
+        docs, tfs, counts = decode_postings_batch(
+            self._postings, self._off[list(ords.values())])
+        ends = counts.cumsum().tolist()
+        return {t: (docs[e - c:e], tfs[e - c:e])
+                for t, e, c in zip(ords, ends, counts.tolist())}
+
     def postings(self, term: str):
         """→ (docs, tfs) fully decoded, or None (FIFO-cached)."""
         hit = self._postings_cache.get(term)
         if hit is not None:
             return hit
-        r = self.postings_reader(term)
-        if r is None:
+        out = self.postings_many([term]).get(term)
+        if out is None:
             return None
-        out = r.decode_all()
         if len(self._postings_cache) >= self._postings_cache_cap:
             self._postings_cache.pop(next(iter(self._postings_cache)))
         self._postings_cache[term] = out
@@ -492,7 +506,7 @@ class SegmentReader:
         raw = np.frombuffer(
             self._positions_blob[s:s + int(self._pos_len[o])], dtype=np.uint32
         )
-        docs, tfs = self.postings_reader(term).decode_all()
+        docs, tfs = self.postings(term)
         tfs64 = tfs.astype(np.int64)
         offs = np.concatenate([[0], np.cumsum(tfs64)])
         cs = np.cumsum(raw.astype(np.int64))

@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 
 from ..analyzer import ENGLISH_STOP_WORDS, analyze_batch
-from ..fieldnorm import FIELD_NORMS_TABLE
 from ..utils import remote_args
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ arrive repeatedly.
 
 ``_SearcherHost`` is the one per-chunk scoring core.  A chunk of term
 queries or of raw query strings goes in, one ranked Arrow table comes
-out.  Two callers drive it:
+out.  A term chunk is scored as one ``IndexSearcher.search_many`` call:
+its uncached distinct terms decode once per segment, in one batch.
+Two callers drive it:
 - ``SearcherPool`` (here): plain Ray actors that outlive a pipeline
   execution — ``size`` replicas of the full index, or replicas of
   segment shards.  ``search_batch`` chunks the query list across them.
@@ -17,8 +19,10 @@ out.  Two callers drive it:
   holds hosts for the length of one pipeline execution.
 
 Both gather the same way (``_gather``): with one shard every query's
-rows come back ranked from one host, so the driver only sorts; with
-several, ``_merge_topk_table`` merges the per-shard top-k.
+rows come back ranked from one host, so the driver only sorts (and
+skips even that when one host table holds a batch of strictly
+increasing query ids); with several, ``_merge_topk_table`` merges the
+per-shard top-k.
 """
 
 from __future__ import annotations
@@ -89,21 +93,11 @@ class _SearcherHost:
 
     def search_chunk(self, chunk: List[Tuple[int, List[str], str, int]],
                      doc_freqs=None) -> pa.Table:
-        """(query_id, terms, mode, k) rows; ``doc_freqs``: global stats
+        """(query_id, terms, mode, k) rows, scored as one
+        ``IndexSearcher.search_many`` chunk; ``doc_freqs``: global stats
         map for sharded evaluation (None = this searcher's own)."""
-        from .query import PhraseQuery
-
-        def run(q):
-            _, terms, mode, k = q
-            if str(mode) == "phrase":
-                return self.searcher.search_query(
-                    PhraseQuery(list(terms)), int(k),
-                    doc_freq_of=_df_of(doc_freqs))
-            return self.searcher.search(
-                list(terms), str(mode), int(k), doc_freqs=doc_freqs,
-                use_wand=self.use_wand)
-
-        return self._ranked(chunk, run)
+        return self._ranked(chunk, self.searcher.search_many(
+            [q[1:] for q in chunk], doc_freqs, self.use_wand))
 
     def search_parsed_chunk(self, chunk: List[Tuple[int, str, int]],
                             doc_freqs=None) -> pa.Table:
@@ -111,14 +105,13 @@ class _SearcherHost:
         grammar (bool trees, phrases, fuzzy/regex automata, ranges,
         boosts)."""
         df_of = _df_of(doc_freqs)
-        return self._ranked(chunk, lambda q: self.searcher.search_query(
-            self._parse(q[1]), int(q[2]), doc_freq_of=df_of))
+        return self._ranked(chunk, [self.searcher.search_query(
+            self._parse(q[1]), int(q[2]), doc_freq_of=df_of) for q in chunk])
 
-    def _ranked(self, chunk, run) -> pa.Table:
-        """Evaluate every query of the chunk; build the ranked hit table
+    def _ranked(self, chunk, hits) -> pa.Table:
+        """The ranked hit table of the chunk's per-query ``hits``, built
         column by column."""
         self.chunks_served += 1
-        hits = [run(q) for q in chunk]
         flat = [h for hs in hits for h in hs]
         if not flat:
             return _empty_result()
@@ -184,15 +177,22 @@ def _empty_result() -> pa.Table:
 
 
 def _gather(tables: Sequence[pa.Table], queries, sharded: bool) -> pa.Table:
-    """Host result tables → one table ranked per query_id: sorted when
-    each query came from one host, top-k merged across shards."""
+    """Host result tables → one table ranked per query_id: top-k merged
+    across shards; otherwise each query came from one host and the
+    tables are sorted by (query_id, rank) — unless one table holds every
+    hit and the batch's query ids strictly increase, when the host
+    already emitted that order (each query's rows in rank order, the
+    queries in batch order) and the sort is skipped."""
     tables = [t for t in tables if t.num_rows]
     if not tables:
         return _empty_result()
-    tbl = pa.concat_tables(tables)
     if sharded:
-        return _merge_topk_table(tbl, queries)
-    return tbl.sort_by([("query_id", "ascending"), ("rank", "ascending")])
+        return _merge_topk_table(pa.concat_tables(tables), queries)
+    qids = np.fromiter((q[0] for q in queries), np.int64, len(queries))
+    if len(tables) == 1 and (qids[1:] > qids[:-1]).all():
+        return tables[0]
+    return pa.concat_tables(tables).sort_by(
+        [("query_id", "ascending"), ("rank", "ascending")])
 
 
 class SearcherPool:

@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..bm25 import Bm25Weight, idf
+from ..bm25 import Bm25Weight
 from ..index.segment import SegmentReader
 
 DocScores = Tuple[np.ndarray, np.ndarray]  # (docs int64 asc, scores f32)

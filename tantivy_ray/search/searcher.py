@@ -43,6 +43,9 @@ TopHit = Tuple[float, int, int]  # (score_f32, segment_ord, doc_id)
 # of the O(P log P) unique+sort (results identical either way)
 _DENSE_CUTOVER_MIN = 4096
 
+# decoded global posting lists an IndexSearcher keeps across queries
+_FIFO_TERMS = 512
+
 
 def _sparse_accumulate(
     parts: Sequence[Tuple[np.ndarray, np.ndarray]],
@@ -158,7 +161,8 @@ def global_topk(postings_of, terms: Sequence[str],
 
 
 class SegmentSearcher:
-    """Per-segment scoring (the reference's per-segment collect)."""
+    """Per-segment block-max WAND scoring (the reference's per-segment
+    collect), through each term's ``TermPostingsReader`` block cursor."""
 
     def __init__(self, reader: SegmentReader):
         self.reader = reader
@@ -169,9 +173,16 @@ class SegmentSearcher:
         weights: Sequence[Bm25Weight],
         mode: str,
         k: int,
-        use_wand: bool = False,
     ) -> List[TopHit]:
-        if use_wand and mode == "or":
+        if mode == "and":
+            readers = [self.reader.postings_reader(t) for t in terms]
+            if any(r is None for r in readers):
+                return []  # a missing term empties the intersection
+            docs, scores = block_max_wand_intersection_topk(
+                readers, list(weights), self.reader.fieldnorm_ids, k,
+                alive_mask=self.reader.alive_mask,
+            )
+        else:
             readers = []
             ws = []
             for term, w in zip(terms, weights):
@@ -185,19 +196,6 @@ class SegmentSearcher:
                 readers, ws, self.reader.fieldnorm_ids, k,
                 alive_mask=self.reader.alive_mask,
             )
-        elif use_wand and mode == "and":
-            readers = [self.reader.postings_reader(t) for t in terms]
-            if any(r is None for r in readers):
-                return []  # a missing term empties the intersection
-            docs, scores = block_max_wand_intersection_topk(
-                readers, list(weights), self.reader.fieldnorm_ids, k,
-                alive_mask=self.reader.alive_mask,
-            )
-        else:
-            r = self.reader
-            return global_topk(r.postings, terms, weights, mode, k,
-                               r.fieldnorm_ids, np.array([0, r.num_docs]),
-                               [r.segment_ord], r.alive_mask)
         seg = self.reader.segment_ord
         return [(float(s), seg, int(d)) for d, s in zip(docs, scores)]
 
@@ -260,26 +258,29 @@ class IndexSearcher:
             }
         return gv
 
-    def _global_postings(self, term: str):
-        """(global_docs int64 asc, tfs) concatenated across segments."""
+    def _chunk_postings(self, terms: Sequence[str]) -> Dict[str, tuple]:
+        """term → (global docs int64 asc, tfs) for every present term of
+        ``terms``: cached terms from the global FIFO, the rest decoded
+        with ONE ``postings_many`` call per segment.  The returned map is
+        the chunk's own, so the FIFO's evictions (a tail chunk has more
+        distinct terms than it holds) never force a second decode."""
         gv = self._global_view()
-        hit = gv["post"].get(term)
-        if hit is not None:
-            return hit
-        parts_d, parts_t = [], []
-        for i, r in enumerate(self.readers):
-            p = r.postings(term)
-            if p is None:
-                continue
-            parts_d.append(p[0].astype(np.int64) + gv["bases"][i])
-            parts_t.append(p[1])
-        if parts_d:
-            out = (np.concatenate(parts_d), np.concatenate(parts_t))
-        else:
-            out = None
-        if len(gv["post"]) > 512:
-            gv["post"].pop(next(iter(gv["post"])))
-        gv["post"][term] = out
+        fifo = gv["post"]
+        out = {t: fifo[t] for t in terms if t in fifo}
+        missing = [t for t in terms if t not in out]
+        if not missing:
+            return out
+        per_seg = [(r.postings_many(missing), base)
+                   for r, base in zip(self.readers, gv["bases"].tolist())]
+        for t in missing:
+            parts = [(p[t], base) for p, base in per_seg if t in p]
+            if parts:
+                fifo[t] = out[t] = (
+                    np.concatenate([d.astype(np.int64) + base
+                                    for (d, _), base in parts]),
+                    np.concatenate([tf for (_, tf), _ in parts]))
+        while len(fifo) > _FIFO_TERMS:
+            fifo.pop(next(iter(fifo)))
         return out
 
     # --- stats ---
@@ -314,21 +315,54 @@ class IndexSearcher:
         doc_freqs: Optional[Dict[str, int]] = None,
         use_wand: bool = False,
     ) -> List[TopHit]:
-        """Pre-analyzed terms → global top-k (rank-identical semantics)."""
-        terms = list(terms)
-        if not terms:
-            return []
-        weights = self.make_weights(terms, doc_freqs)
-        if not use_wand and len(self.readers) > 1:
-            gv = self._global_view()
-            return global_topk(self._global_postings, terms, weights, mode,
-                               k, gv["fids"], gv["bases"],
-                               [r.segment_ord for r in self.readers],
-                               gv["alive"])
-        hits: List[TopHit] = []
-        for s in self.searchers:
-            hits.extend(s.topk(terms, weights, mode, k, use_wand=use_wand))
-        return merge_topk(hits, k)
+        """Pre-analyzed terms → global top-k (the one-query chunk of
+        ``search_many``)."""
+        return self.search_many([(terms, mode, k)], doc_freqs, use_wand)[0]
+
+    def search_many(
+        self,
+        queries: Sequence[Tuple[Sequence[str], str, int]],
+        doc_freqs: Optional[Dict[str, int]] = None,
+        use_wand: bool = False,
+    ) -> List[List[TopHit]]:
+        """A chunk of (terms, mode, k) queries → each query's global
+        top-k; mode is "or", "and" or "phrase".
+
+        Every distinct term gets one weight, and the distinct terms of
+        the exhaustive or/and queries one decode per segment
+        (``_chunk_postings``); each query then scores on the global doc
+        space (``global_topk``).  ``use_wand`` runs or/and queries
+        through each segment's block-max WAND cursor instead, and
+        phrases go through the query evaluator.  ``doc_freqs``: global
+        stats for sharded evaluation (None = this searcher's own)."""
+        from .query import PhraseQuery
+
+        queries = [(list(t), str(m), int(k)) for t, m, k in queries]
+        scored = [ts for ts, m, _ in queries if ts and m != "phrase"]
+        distinct = list(dict.fromkeys(t for ts in scored for t in ts))
+        weight = dict(zip(distinct, self.make_weights(distinct, doc_freqs)))
+        post = {} if use_wand else self._chunk_postings(distinct)
+        df_of = None if doc_freqs is None else (
+            lambda t: doc_freqs.get(t, 0))
+        gv = self._global_view()
+        ords = [r.segment_ord for r in self.readers]
+        out = []
+        for terms, mode, k in queries:
+            if not terms:
+                out.append([])
+            elif mode == "phrase":
+                out.append(self.search_query(PhraseQuery(terms), k,
+                                             doc_freq_of=df_of))
+            elif use_wand:
+                ws = [weight[t] for t in terms]
+                out.append(merge_topk([h for s in self.searchers for h in
+                                       s.topk(terms, ws, mode, k)], k))
+            else:
+                out.append(global_topk(post.get, terms,
+                                       [weight[t] for t in terms], mode, k,
+                                       gv["fids"], gv["bases"], ords,
+                                       gv["alive"]))
+        return out
 
     def search_text(self, query: str, mode: str = "or", k: int = 10,
                     use_wand: bool = False) -> List[TopHit]:

@@ -13,7 +13,8 @@ from tantivy_ray.bm25 import compute_tf_cache
 from tantivy_ray.index import build_index, load_manifest
 from tantivy_ray.index import merge as merge_mod
 from tantivy_ray.index.compression import (COMPRESSION_BLOCK_SIZE,
-                                           TermPostingsReader)
+                                           TermPostingsReader,
+                                           decode_postings_batch)
 from tantivy_ray.index.deletes import add_tombstones
 from tantivy_ray.index.manifest import IndexManifest, write_manifest
 from tantivy_ray.index.merge import (_FRAGMENT_SCHEMA, ExplodeSegment,
@@ -296,7 +297,8 @@ def test_extra_field_block_max_pairs(title_index, tmp_path):
                 src._postings[src._off[o]:src._off[o] + src._len[o]]):
             continue   # pass-through blob: its segment's own pairs
         pr = TermPostingsReader(np.frombuffer(row["postings"], np.uint8))
-        docs, tfs = pr.decode_all()
+        docs, tfs, _ = decode_postings_batch(
+            np.frombuffer(row["postings"], np.uint8), np.zeros(1, np.int64))
         docs = docs.astype(np.int64) + row["doc_base"]
         for b in range(pr.n_blocks):
             sl = slice(b * COMPRESSION_BLOCK_SIZE,

@@ -160,3 +160,43 @@ class TestParsedSearchPipeline:
                     pooled):
             assert list(zip(*(tbl.column(c).to_pylist() for c in (
                 "score", "segment_ord", "doc_id")))) == want
+
+
+class TestGather:
+    """The driver gather of an unsharded batch returns the one non-empty
+    host table as is only when the batch's query ids strictly increase;
+    every batch gets exactly the table the (query_id, rank) sort gives."""
+
+    @pytest.fixture(scope="class")
+    def host(self, tmp_path_factory):
+        from tantivy_ray.index import build_segment_from_table
+        from tantivy_ray.index.manifest import IndexManifest, write_manifest
+        from tantivy_ray.search.pool import _SearcherHost
+
+        idx = str(tmp_path_factory.mktemp("gather") / "ix")
+        t = generate_pages_table(300, seed=3)
+        write_manifest(idx, IndexManifest(segments=[
+            build_segment_from_table(t.slice(o, 100), i, idx)
+            for i, o in enumerate(range(0, 300, 100))]))
+        return _SearcherHost(idx, use_wand=False)
+
+    @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4], [10, 20, 30, 40, 50],
+                                     [3, 4, 0, 1, 2], [2, 2, 3, 3, 1], [7]])
+    def test_equals_the_sort(self, host, ids):
+        from tantivy_ray.search.pool import _gather
+
+        queries = [(qid, q[1], q[2], q[3])
+                   for qid, q in zip(ids, REFERENCE_QUERY_SET)]
+        tbl = host.search_chunk(queries)
+        want = tbl.sort_by([("query_id", "ascending"), ("rank", "ascending")])
+        assert len(set(tbl.column("query_id").to_pylist())) == len(set(ids))
+        increasing = all(a < b for a, b in zip(ids, ids[1:]))
+        assert tbl.equals(want) == increasing
+        got = _gather([tbl.slice(0, 0), tbl], queries, sharded=False)
+        assert got.equals(want)
+        assert (got is tbl) == increasing
+        # two host tables are always sorted
+        parts = [tbl.slice(tbl.num_rows // 2), tbl.slice(0, tbl.num_rows // 2)]
+        assert _gather(parts, queries, sharded=False).equals(
+            pa.concat_tables(parts).sort_by(
+                [("query_id", "ascending"), ("rank", "ascending")]))

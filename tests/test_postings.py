@@ -13,9 +13,17 @@ from tantivy_ray.index.compression import (
     bit_width,
     bitpack,
     bitunpack,
+    decode_postings_batch,
     encode_term_postings,
 )
 from tantivy_ray.index.segment import SegmentReader, build_segment_from_table
+
+
+def _decode_one(blob):
+    """(docs, tfs) of one term blob through the batched decoder."""
+    docs, tfs, _ = decode_postings_batch(
+        np.frombuffer(blob, dtype=np.uint8), np.zeros(1, dtype=np.int64))
+    return docs, tfs
 
 
 class TestBitpack:
@@ -57,7 +65,7 @@ class TestTermPostings:
         r = TermPostingsReader(blob)
         assert r.doc_freq == n
         assert r.n_blocks == (n + COMPRESSION_BLOCK_SIZE - 1) // COMPRESSION_BLOCK_SIZE
-        out_docs, out_tfs = r.decode_all()
+        out_docs, out_tfs = _decode_one(blob)
         assert (out_docs == docs).all()
         assert (out_tfs == tfs).all()
         # skip info: last_doc per block correct
@@ -175,7 +183,7 @@ class TestVectorizedEncode:
             blob = encode_term_postings(docs, tfs, fids, cache,
                                         fids_per_posting=True)
             r = TermPostingsReader(np.frombuffer(blob, dtype=np.uint8))
-            d, t = r.decode_all()
+            d, t = _decode_one(blob)
             assert (d == docs).all() and (t == tfs).all(), n
             # skip metadata: block maxima of the tf factor
             assert r.doc_freq == n
@@ -193,8 +201,7 @@ class TestVectorizedEncode:
         fids = np.zeros(4, dtype=np.uint8)
         blob = encode_term_postings(docs, tfs, fids, cache,
                                     fids_per_posting=True)
-        r = TermPostingsReader(np.frombuffer(blob, dtype=np.uint8))
-        d, t = r.decode_all()
+        d, t = _decode_one(blob)
         assert (d == docs).all() and (t == tfs).all()
 
     def test_zero_width_tf_blocks(self):
@@ -212,8 +219,7 @@ class TestVectorizedEncode:
         fids = np.zeros(300, dtype=np.uint8)
         blob = encode_term_postings(docs, tfs, fids, cache,
                                     fids_per_posting=True)
-        r = TermPostingsReader(np.frombuffer(blob, dtype=np.uint8))
-        d, t = r.decode_all()
+        d, t = _decode_one(blob)
         assert (d == docs).all() and (t == tfs).all()
 
 
@@ -277,7 +283,7 @@ def _frozen_encode_term_postings(
     # (n_full, 128); the (<128) tail block is handled separately.  A full
     # block's packed payload is 16*width bytes (128*w bits, always whole
     # bytes), so all full blocks sharing a width pack in ONE bitpack call
-    # and slice apart — the mirror of decode_all's width grouping.
+    # and slice apart.
     B = COMPRESSION_BLOCK_SIZE
     n_full = n // B
     last_doc = docs[np.minimum(np.arange(1, nb + 1) * B, n) - 1]
@@ -464,10 +470,9 @@ class TestBatchedCodec:
         assert c.tolist() == [len(docs[i]) for i in pick]
         assert (d == np.concatenate([docs[i] for i in pick])).all()
         assert (t == np.concatenate([tfs[i] for i in pick])).all()
-        # each blob also reads back through the serving cursor
+        # each blob also reads back on its own, from a buffer of just it
         for i in pick[:3]:
-            r = TermPostingsReader(buf[offsets[i]:offsets[i] + lens[i]])
-            rd, rt = r.decode_all()
+            rd, rt = _decode_one(buf[offsets[i]:offsets[i] + lens[i]])
             assert (rd == docs[i]).all() and (rt == tfs[i]).all()
         empty = decode_postings_batch(buf, np.empty(0, dtype=np.int64))
         assert [len(x) for x in empty] == [0, 0, 0]
@@ -507,8 +512,7 @@ def _reference_reduce(tbl, avg_fieldnorm, index_dir):
         docs, tfs, fids, pos = [], [], [], []
         for r in sorted(recs[s:e], key=lambda r: r["first_doc"]):
             if r["blob"]:
-                d, t = TermPostingsReader(
-                    np.frombuffer(r["blob"], dtype=np.uint8)).decode_all()
+                d, t = _decode_one(r["blob"])
                 fn = np.fromfile(os.path.join(
                     index_dir, f"seg-{r['segment_ord']:05d}",
                     "fieldnorms.bin"), dtype=np.uint8)
@@ -651,3 +655,222 @@ class TestBatchedReducer:
         with pytest.raises(ValueError, match="overlapping salted fragments"):
             _reduce_fragment_block(self._block(good + [a, b], rng), 5.0,
                                    index_dir)
+
+
+# ---------------------------------------------------------------------------
+# Serving a query chunk: one batch decode per segment, equal to a per-block
+# reference
+# ---------------------------------------------------------------------------
+
+_SEG_SIZES = (700, 450, 600)
+
+
+def _zipf_index(tmp_path, sizes, seed=13):
+    """Segments of Zipf-distributed words: head words span several
+    128-doc blocks, tail words a handful of docs."""
+    from tantivy_ray.index.manifest import IndexManifest, write_manifest
+
+    rng = np.random.default_rng(seed)
+    vocab = np.array([f"w{i:04d}" for i in range(3000)])
+    p = 1.0 / np.arange(1, len(vocab) + 1)
+    idx = str(tmp_path / "zipf")
+    metas = []
+    for si, n in enumerate(sizes):
+        texts = [" ".join(rng.choice(vocab, size=int(rng.integers(3, 40)),
+                                     p=p / p.sum())) for _ in range(n)]
+        metas.append(build_segment_from_table(
+            pa.table({"url": [f"s{si}d{i}" for i in range(n)],
+                      "text": texts}), si, idx))
+    write_manifest(idx, IndexManifest(segments=metas))
+    return idx
+
+
+def _block_decode(reader, term):
+    """(docs, tfs) of one term, block by block through the WAND cursor."""
+    pr = reader.postings_reader(term)
+    if pr is None:
+        return None
+    blocks = [pr.decode_block(b) for b in range(pr.n_blocks)]
+    return (np.concatenate([d for d, _ in blocks]),
+            np.concatenate([t for _, t in blocks]))
+
+
+def _reference_topk(searcher, terms, mode, k, doc_freqs=None):
+    """Per-block decode, ``Bm25Weight.score`` summed per doc in term order
+    (f32), per-segment hits ranked with ``merge_topk``."""
+    from tantivy_ray.bm25 import Bm25Weight
+    from tantivy_ray.search.searcher import merge_topk
+
+    hits = []
+    for r in searcher.readers:
+        acc, matched = {}, {}
+        for t in terms:
+            df = (doc_freqs.get(t, 0) if doc_freqs is not None
+                  else searcher.doc_freq(t))
+            w = Bm25Weight.for_one_term(max(df, 1), searcher.total_num_docs,
+                                        searcher.average_fieldnorm)
+            p = _block_decode(r, t)
+            if p is None:
+                continue
+            docs, tfs = p
+            for d, s in zip(docs.tolist(),
+                            w.score(r.fieldnorm_ids[docs], tfs)):
+                acc[d] = np.float32(acc.get(d, np.float32(0.0)) + s)
+                matched[d] = matched.get(d, 0) + 1
+        for d, s in acc.items():
+            if mode == "and" and matched[d] != len(terms):
+                continue
+            if r.alive_mask is not None and not r.alive_mask[d]:
+                continue
+            hits.append((float(s), r.segment_ord, d))
+    return merge_topk(hits, k)
+
+
+def _query_chunk(searcher, n, seed=5):
+    """n (terms, mode, k) queries over head and tail terms, with missing
+    terms, a repeated term and an empty term list among them."""
+    rng = np.random.default_rng(seed)
+    vocab = sorted({t for r in searcher.readers for t in r.terms()})
+    dfs = np.array([searcher.doc_freq(t) for t in vocab])
+    head = [t for t, df in zip(vocab, dfs) if df > 2 * 128]
+    tail = [t for t, df in zip(vocab, dfs) if df <= 8]
+    assert len(head) >= 3 and len(tail) >= 20
+    fixed = [([], "or", 10), (["nosuchterm"], "or", 10),
+             ([head[0], "nosuchterm"], "and", 10),
+             ([head[0], "nosuchterm"], "or", 100),
+             ([tail[0], tail[0]], "or", 10), ([head[1], head[1]], "and", 10),
+             ([head[0], head[1], head[2]], "and", 100)]
+    out = list(fixed)
+    while len(out) < n:
+        pool = head if rng.random() < 0.3 else tail
+        terms = list(rng.choice(pool, size=int(rng.integers(1, 4))))
+        if rng.random() < 0.2:
+            terms.append(str(rng.choice(head)))
+        out.append(([str(t) for t in terms], str(rng.choice(["or", "and"])),
+                    int(rng.choice([1, 10, 100]))))
+    return out
+
+
+class TestChunkSearch:
+    @pytest.fixture(scope="class")
+    def index(self, tmp_path_factory):
+        return _zipf_index(tmp_path_factory.mktemp("chunk"), _SEG_SIZES)
+
+    @pytest.fixture(scope="class")
+    def tombstoned(self, tmp_path_factory):
+        import os
+
+        from tantivy_ray.index.deletes import add_tombstones
+
+        idx = _zipf_index(tmp_path_factory.mktemp("chunk_del"), _SEG_SIZES)
+        add_tombstones(os.path.join(idx, "seg-00001"), range(0, 450, 3))
+        return idx
+
+    @pytest.fixture(scope="class")
+    def one_segment(self, tmp_path_factory):
+        return _zipf_index(tmp_path_factory.mktemp("chunk1"), (900,))
+
+    @pytest.mark.parametrize("which", ["one_segment", "index"])
+    def test_matches_per_block_reference(self, request, which):
+        from tantivy_ray.search import IndexSearcher
+
+        s = IndexSearcher(request.getfixturevalue(which))
+        chunk = _query_chunk(s, 120)
+        got = s.search_many(chunk)
+        assert len(got) == len(chunk)
+        assert sum(len(h) for h in got) > 1000
+        for (terms, mode, k), hits in zip(chunk, got):
+            assert hits == _reference_topk(s, terms, mode, k), (terms, mode)
+        # the one-query path is the same code
+        for terms, mode, k in chunk[:20]:
+            assert s.search(terms, mode, k) == _reference_topk(
+                s, terms, mode, k)
+
+    def test_tombstoned_segment(self, tombstoned):
+        from tantivy_ray.search import IndexSearcher
+
+        s = IndexSearcher(tombstoned)
+        assert s.readers[1].alive_mask is not None
+        chunk = _query_chunk(s, 80, seed=6)
+        for (terms, mode, k), hits in zip(chunk, s.search_many(chunk)):
+            assert hits == _reference_topk(s, terms, mode, k), (terms, mode)
+
+    def test_sharded_doc_freqs(self, index):
+        from tantivy_ray.search import IndexSearcher
+
+        full = IndexSearcher(index)
+        chunk = _query_chunk(full, 80, seed=7)
+        dfs = full.doc_freqs({t for ts, _, _ in chunk for t in ts})
+        shard = IndexSearcher(index, segment_ords=[0, 2])
+        got = shard.search_many(chunk, doc_freqs=dfs)
+        for (terms, mode, k), hits in zip(chunk, got):
+            assert hits == _reference_topk(shard, terms, mode, k, dfs)
+            assert hits == shard.search(terms, mode, k, doc_freqs=dfs)
+
+    def test_one_decode_per_segment(self, index, monkeypatch):
+        from tantivy_ray.index import compression
+        from tantivy_ray.index import segment as segment_mod
+        from tantivy_ray.search import IndexSearcher
+
+        s = IndexSearcher(index)
+        chunk = _query_chunk(s, 500, seed=8)
+        want = s.search_many(chunk)
+        calls, cursors = [], []
+        real_decode = compression.decode_postings_batch
+        real_init = compression.TermPostingsReader.__init__
+
+        def decode(buf, offsets):
+            calls.append(len(offsets))
+            return real_decode(buf, offsets)
+
+        def init(self, buf):
+            cursors.append(1)
+            real_init(self, buf)
+
+        monkeypatch.setattr(segment_mod, "decode_postings_batch", decode)
+        monkeypatch.setattr(compression.TermPostingsReader, "__init__", init)
+        fresh = IndexSearcher(index)
+        assert fresh.search_many(chunk, use_wand=False) == want
+        assert len(calls) == len(fresh.readers) == 3
+        distinct = {t for ts, m, _ in chunk for t in ts}
+        assert sum(calls) == sum(r.term_ord(t) is not None
+                                 for r in fresh.readers for t in distinct)
+        assert cursors == []
+        # terms already in the searcher's cache are not decoded again
+        assert fresh.search_many(chunk[:5]) == want[:5]
+        calls.clear()
+        assert fresh.search_many(chunk[:5]) == want[:5]
+        assert calls == []
+
+    def test_wand_chunk_matches_exhaustive(self, index):
+        from tantivy_ray.search import IndexSearcher
+
+        s = IndexSearcher(index)
+        chunk = [q for q in _query_chunk(s, 60, seed=9) if q[0]]
+        assert s.search_many(chunk, use_wand=True) == s.search_many(chunk)
+
+
+class TestDecodeKernel:
+    """decode_postings_batch against the per-block cursor on every term
+    of a real segment, for calls of 1 term, 3 terms and all terms."""
+
+    def test_every_term_of_a_segment(self, tmp_path):
+        idx = _zipf_index(tmp_path, (900,), seed=3)
+        r = SegmentReader(f"{idx}/seg-00000")
+        terms = r.terms()
+        ref = [_block_decode(r, t) for t in terms]
+        assert max(len(d) for d, _ in ref) > 3 * COMPRESSION_BLOCK_SIZE
+        for i in range(len(terms)):
+            d, t, c = decode_postings_batch(r._postings, r._off[i:i + 1])
+            assert c.tolist() == [len(ref[i][0])]
+            assert (d == ref[i][0]).all() and (t == ref[i][1]).all()
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            pick = rng.choice(len(terms), size=3, replace=False)
+            d, t, c = decode_postings_batch(r._postings, r._off[pick])
+            assert (d == np.concatenate([ref[i][0] for i in pick])).all()
+            assert (t == np.concatenate([ref[i][1] for i in pick])).all()
+        d, t, c = decode_postings_batch(r._postings, r._off)
+        assert c.tolist() == [len(x) for x, _ in ref]
+        assert (d == np.concatenate([x for x, _ in ref])).all()
+        assert (t == np.concatenate([y for _, y in ref])).all()

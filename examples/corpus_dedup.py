@@ -57,8 +57,8 @@ def main():
     print("exact dedup: kept", n_kept, "of 600")
 
     # 2. MinHash-LSH near-dups (banded signatures -> one bucket sort ->
-    # fused exact-jaccard verify; sig_method="oph" is the one-pass
-    # signature path for long-document corpora)
+    # fused exact-jaccard verify; above the candidate broadcast cap the
+    # verify switches to a reduce-side join on its own)
     from tantivy_ray.dedup import minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(docs(), threshold=0.8)

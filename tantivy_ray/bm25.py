@@ -18,6 +18,7 @@ after the final cast.
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -105,3 +106,19 @@ class Bm25Weight:
             self.score(np.array([255], dtype=np.uint8),
                        np.array([2_013_265_944], dtype=np.uint32))[0]
         )
+
+
+def term_weights(terms: Sequence[str], doc_freqs: Mapping[str, int],
+                 total_num_docs: int, avg_fieldnorm: float,
+                 boosts: Optional[Sequence[float]] = None
+                 ) -> List[Bm25Weight]:
+    """One weight per term from a {term: doc_freq} map; a term missing
+    from the map (or with df 0) is weighted as df 1."""
+    ws = []
+    for i, t in enumerate(terms):
+        w = Bm25Weight.for_one_term(max(doc_freqs.get(t, 0), 1),
+                                    total_num_docs, avg_fieldnorm)
+        if boosts is not None and boosts[i] != 1.0:
+            w = w.boost_by(boosts[i])
+        ws.append(w)
+    return ws

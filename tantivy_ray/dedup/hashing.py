@@ -1,11 +1,11 @@
-"""Vectorized 64-bit hashing + Mersenne-prime modular arithmetic.
+"""Vectorized 64-bit hashing for the MinHash / SimHash stages.
 
-Shared by the MinHash / SimHash stages: per-string python hashing
-(hashlib.blake2b per shingle) was the round-1 hot-spot; these helpers
-hash a whole batch's shingles in one C call (pandas' SipHash-based
-``hash_array``, fixed key → deterministic across processes) and compute
-``(a*x + b) mod (2^61-1)`` entirely in uint64 numpy via 32-bit split
-multiplies with Mersenne folding — no object-dtype big-int arithmetic.
+Per-string python hashing (hashlib.blake2b per shingle) was the round-1
+hot-spot; ``hash_strings64`` hashes a whole batch's shingles in one C
+call (pandas' SipHash-based ``hash_array``, fixed key → deterministic
+across processes).  ``mult_min_hash`` is the one MinHash signature
+kernel; ``segment_pairs``, ``popcount64`` and ``band_keys`` are the
+bucket-stage helpers.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from typing import List
 import numpy as np
 import pandas as pd
 
-P61 = np.uint64((1 << 61) - 1)
-_U32 = np.uint64(0xFFFFFFFF)
-_U29 = np.uint64((1 << 29) - 1)
+EMPTY_SIG = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def hash_strings64(strings: List[str]) -> np.ndarray:
@@ -27,83 +25,19 @@ def hash_strings64(strings: List[str]) -> np.ndarray:
     return pd.util.hash_array(np.asarray(strings, dtype=object))
 
 
-def fold61(z: np.ndarray) -> np.ndarray:
-    """Reduce arbitrary uint64 values modulo 2^61-1 (Mersenne fold)."""
-    z = (z & P61) + (z >> np.uint64(61))
-    z = (z & P61) + (z >> np.uint64(61))
-    return z - (z >= P61).astype(np.uint64) * P61
-
-
-def mulmod61(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(a * x) mod (2^61-1) for uint64 arrays < 2^61-1, broadcastable.
-
-    a = a1*2^32 + a0, x = x1*2^32 + x0 (a1, x1 < 2^29):
-      a*x = a1*x1*2^64 + (a1*x0 + a0*x1)*2^32 + a0*x0
-    with 2^61 ≡ 1 (mod p): 2^64 ≡ 8, and m*2^32 ≡ (m>>29) + (m&(2^29-1))*2^32.
-    Every intermediate fits in uint64."""
-    a = np.asarray(a, dtype=np.uint64)
-    x = np.asarray(x, dtype=np.uint64)
-    a0, a1 = a & _U32, a >> np.uint64(32)
-    x0, x1 = x & _U32, x >> np.uint64(32)
-    hh = fold61(a1 * x1 * np.uint64(8))
-    mid = fold61(a1 * x0 + a0 * x1)
-    mid = fold61((mid >> np.uint64(29)) + ((mid & _U29) << np.uint64(32)))
-    lo = fold61(a0 * x0)
-    return fold61(hh + mid + lo)
-
-
-def affine_min_hash(hashes: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """MinHash signatures for segment-partitioned shingle hashes.
-
-    hashes: (S,) uint64 shingle hashes (concatenated over docs);
-    a, b: (P,) permutation params; starts/ends: per-doc [start, end)
-    ranges into ``hashes``.  Returns (D, P) uint64 signature matrix
-    (rows of empty docs are p-filled).  Fully vectorized: one (S, P)
-    mulmod + per-doc ``np.minimum.reduceat`` (integer min — no f32
-    accumulation caveat)."""
-    D = len(starts)
-    P = len(a)
-    out = np.full((D, P), P61, dtype=np.uint64)
-    if len(hashes) == 0 or D == 0:
-        return out
-    x = fold61(hashes)  # bring into [0, p)
-    S = len(x)
-    # docs' shingle runs are contiguous by construction (concatenated in
-    # doc order); np.minimum.reduceat needs non-empty segments, so reduce
-    # over the non-empty docs only (their runs remain adjacent)
-    nonempty = np.flatnonzero(ends > starts)
-    if not len(nonempty):
-        return out
-    ne_starts = starts[nonempty]
-    assert np.array_equal(ends[nonempty][:-1], ne_starts[1:]) \
-        and ends[nonempty][-1] == S, "shingle runs must be contiguous"
-    # chunk over PERMUTATION COLUMNS and reduce each chunk immediately:
-    # peak extra memory is one (S, chunk) slab (~32 MB) instead of the
-    # full (S, P) matrix (~P/chunk × that — real allocator churn when 32
-    # workers each hold a 300+ MB slab)
-    chunk = max(1, (1 << 22) // max(S, 1))
-    for p0 in range(0, P, chunk):
-        p1 = min(p0 + chunk, P)
-        perm = fold61(mulmod61(a[None, p0:p1], x[:, None]) + b[None, p0:p1])
-        out[nonempty, p0:p1] = np.minimum.reduceat(perm, ne_starts, axis=0)
-    return out
-
-
 def mult_min_hash(hashes: np.ndarray, mults: np.ndarray,
                   starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """MinHash signatures under odd-multiplier wraparound permutations:
-    x → a_p · x (mod 2^64) with a_p odd is a BIJECTION of the hash
-    space, so min over it is a valid permutation min-hash — the same
-    2-universal family class as the (a·x+b) mod 2^61-1 chain, at ONE
-    uint64 multiply per (shingle, perm) instead of ~15 ops of Mersenne
-    split arithmetic (measured 42× faster per batch).  Same
-    empty-doc convention as affine_min_hash but filled with uint64 max
-    (every real product is smaller except the 2^-64 a·x == max case).
-    Ranges must tile ``hashes`` contiguously in doc order."""
+    """(D, P) MinHash signatures under odd-multiplier wraparound
+    permutations: x → a_p · x (mod 2^64) with a_p odd is a BIJECTION of
+    the hash space, so the min over it is a valid permutation min-hash,
+    at ONE uint64 multiply per (shingle, perm).  Rows of empty docs are
+    EMPTY_SIG-filled (every real product is smaller except the 2^-64
+    a·x == max case).  Ranges must tile ``hashes`` contiguously in doc
+    order; a doc's shingles may repeat (the min over a multiset is the
+    min over its set)."""
     D = len(starts)
     P = len(mults)
-    out = np.full((D, P), np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
+    out = np.full((D, P), EMPTY_SIG, dtype=np.uint64)
     S = len(hashes)
     if S == 0 or D == 0:
         return out
@@ -119,69 +53,6 @@ def mult_min_hash(hashes: np.ndarray, mults: np.ndarray,
         perm = mults[None, p0:p1] * hashes[:, None]
         out[nonempty, p0:p1] = np.minimum.reduceat(perm, ne_starts,
                                                    axis=0)
-    return out
-
-
-_OPH_EMPTY = np.uint64(0xFFFFFFFFFFFFFFFF)
-_OPH_ROT_C = np.uint64(0x9E3779B97F4A7C15)  # odd ⇒ distinct offsets mod 2^64
-
-
-def oph_min_hash(hashes: np.ndarray, starts: np.ndarray,
-                 ends: np.ndarray, num_perm: int) -> np.ndarray:
-    """One-permutation MinHash signatures with rotation densification
-    (Li, Owen & Zhang, NIPS'12; Shrivastava & Li, ICML'14): the hash
-    space splits into ``num_perm`` bins on the TOP bits, each bin keeps
-    its min shingle hash, and empty bins copy the nearest filled bin to
-    the right (circular) plus ``distance * C`` so copies at different
-    distances never collide.  ONE pass over the shingle hashes replaces
-    ``num_perm`` affine permutations (~50× less arithmetic — the
-    mulmod chain was ~70% of the minhash wall at sf1); two documents'
-    bin values collide with probability ≈ their jaccard, the same
-    banding contract as the affine path.  Rows of empty docs are
-    _OPH_EMPTY-filled.  ``num_perm`` must be a power of two."""
-    D = len(starts)
-    P = num_perm
-    assert P & (P - 1) == 0, "num_perm must be a power of two"
-    out = np.full((D, P), _OPH_EMPTY, dtype=np.uint64)
-    S = len(hashes)
-    if S == 0 or D == 0:
-        return out
-    shift = np.uint64(64 - int(P).bit_length() + 1)
-    lens = ends - starts
-    assert int(lens.sum()) == S, "doc ranges must tile the hash array"
-    doc_rep = np.repeat(np.arange(D, dtype=np.int64), lens)
-    bins = (hashes >> shift).astype(np.int64)
-    # min per (doc, bin): one lexsort + first-of-run scatter
-    key = doc_rep * P + bins
-    order = np.lexsort((hashes, key))
-    k2, h2 = key[order], hashes[order]
-    first = np.empty(len(k2), dtype=bool)
-    first[0] = True
-    first[1:] = k2[1:] != k2[:-1]
-    out.ravel()[k2[first]] = h2[first]
-    # rotation densification: for each empty bin, the distance to the
-    # next filled bin to the right (circular) via a reverse cummin over
-    # the doubled column index, then value = filled + d * C
-    filled = out != _OPH_EMPTY
-    has_any = filled.any(axis=1)
-    if not has_any.all():
-        pass  # empty docs stay _OPH_EMPTY-filled
-    cols = np.arange(2 * P, dtype=np.int64)[None, :]
-    filled2 = np.concatenate([filled, filled], axis=1)
-    idx2 = np.where(filled2, cols, np.int64(1 << 60))
-    # next filled index at or after j: reverse cumulative minimum
-    nxt = np.minimum.accumulate(idx2[:, ::-1], axis=1)[:, ::-1][:, :P]
-    rows_any = np.flatnonzero(has_any)
-    if len(rows_any):
-        sub = out[rows_any]
-        nxt_s = nxt[rows_any]
-        j = np.arange(P, dtype=np.int64)[None, :]
-        d = (nxt_s - j).astype(np.uint64)
-        src = (nxt_s % P).astype(np.int64)
-        dense = np.take_along_axis(sub, src, axis=1) + d * _OPH_ROT_C
-        empty_s = sub == _OPH_EMPTY
-        sub[empty_s] = dense[empty_s]
-        out[rows_any] = sub
     return out
 
 

@@ -1,32 +1,37 @@
 """MinHash + LSH near-duplicate detection — distributed end to end.
 
-Pipeline shape (the canonical LSH chain, every stage a Dataset op):
-    map_batches(shingle → minhash signatures, fully vectorized)
-  → (band_key, doc_id) rows → groupby(band_key) → candidate pairs
-  → groupby(pair) dedup
-  → reduce-side JOIN of candidate shingle sets to pair endpoints
-    (groupby doc_id over pair-endpoint rows ∪ shingle rows)
-  → groupby(pair) → exact Jaccard inside the group
-No document row data (texts, shingle sets) ever lands on the driver;
-the only driver-side value is the candidate doc-id array, broadcast via
-``ray.put`` to prune the shingle re-read (the blessed small-side
-broadcast — at extreme candidate volume pass ``prune_candidates=False``
-to shingle every doc instead).
+Filter then verify: banded signatures propose candidate pairs, and every
+reported pair's jaccard is computed EXACTLY, so the signature family
+only shapes candidate recall.  Every stage is a Dataset op:
+    map_batches(analyze → shingle hashes → signatures → band keys)
+  → sort(band_key) → within-bucket candidate pairs
+  → verify, one of two shapes picked from the candidate count:
+    - fused (default): the deduped candidate-pair id arrays are a
+      ``ray.put`` broadcast; each doc's unique shingle-hash set fans
+      straight to its (pair, side) slots, and one sort(pair) computes
+      every pair's jaccard;
+    - reduce-side join, when the count exceeds
+      ``DEFAULT_CANDIDATE_BROADCAST_CAP`` (the id arrays would not fit
+      a broadcast): pair-endpoint rows ∪ every doc's shingle row →
+      sort(doc id) attaches shingle sets to endpoints → sort(pair) →
+      jaccard.  Same output as the fused path.
+No document row data (texts, shingle sets) ever lands on the driver.
 
-Shingles are token w-grams (default w=3) of the default analyzer's
-output; documents with fewer than w tokens are excluded (their shingle
-set is empty — same rule the SQL oracle applies).  Signatures use 128
-universal-hash permutations ((a*x+b) mod 2^61-1, uint64 split-multiply
-— see hashing.py) over vectorized SipHash shingle hashes; bands default
-to 32x4 so P(miss | jaccard >= 0.8) < 1e-7 — effectively exhaustive at
-the verify threshold while shuffling only (band_key, doc_id) pairs at
-scale.  The reported jaccard is the EXACT shingle-set jaccard (LSH only
-prunes candidates), so results match a brute-force oracle whenever the
-banding recall covers the threshold.
+Shingles are token w-grams (default w=3) of the analyzer's output;
+documents with fewer than w tokens are excluded (their shingle set is
+empty — same rule the SQL oracle applies).  Signatures are 128
+odd-multiplier wraparound permutations (x → a·x mod 2^64,
+``hashing.mult_min_hash``) of SipHash shingle hashes; bands default to
+32x4 so P(miss | jaccard >= 0.8) < 1e-7 — effectively exhaustive at the
+verify threshold while shuffling only (band_key, doc_id) pairs.  The
+jaccard is over 64-bit shingle hashes (equal to the string-set jaccard
+up to ~1e-13 collision odds), so results match a brute-force oracle
+whenever the banding recall covers the threshold.
 """
 
 from __future__ import annotations
 
+import logging
 from typing import List, Optional
 
 import numpy as np
@@ -34,10 +39,8 @@ import pyarrow as pa
 
 from ..analyzer import analyze_batch
 from ..utils import remote_args
-from .hashing import (P61, affine_min_hash, band_keys, hash_strings64,
+from .hashing import (EMPTY_SIG, band_keys, hash_strings64, mult_min_hash,
                       segment_pairs)
-
-_MERSENNE = (1 << 61) - 1
 
 
 class MinHasher:
@@ -45,9 +48,12 @@ class MinHasher:
         rs = np.random.RandomState(seed)
         self.num_perm = num_perm
         self.shingle_w = shingle_w
-        self.a = rs.randint(1, _MERSENNE, size=num_perm, dtype=np.uint64)
-        self.b = rs.randint(0, _MERSENNE, size=num_perm, dtype=np.uint64)
-        # odd wraparound multipliers for the "mult" permutation family
+        # these two draws fed a retired (a*x + b) mod 2^61-1 family; they
+        # stay so the multipliers drawn after them, and so every
+        # signature and band key, keep their values
+        rs.randint(1, (1 << 61) - 1, size=num_perm, dtype=np.uint64)
+        rs.randint(0, (1 << 61) - 1, size=num_perm, dtype=np.uint64)
+        # odd wraparound multipliers, one per permutation
         hi = rs.randint(0, 1 << 32, size=num_perm).astype(np.uint64)
         lo = rs.randint(0, 1 << 32, size=num_perm).astype(np.uint64)
         self.mults = ((hi << np.uint64(32)) | lo) | np.uint64(1)
@@ -56,106 +62,18 @@ class MinHasher:
     def shingles(tokens: List[str], w: int) -> List[str]:
         return [" ".join(tokens[i:i + w]) for i in range(len(tokens) - w + 1)]
 
-    def signatures_batch(self, token_lists: List[List[str]]) -> np.ndarray:
-        """(D, P) uint64 signatures; empty-shingle docs are P61-filled.
-
-        One vectorized hash over ALL shingles in the batch and one
-        (S, P) uint64 mulmod — no per-document python arithmetic.
-        Shingles are left as a multiset: min over a multiset equals min
-        over its set, so per-doc dedup is unnecessary for signatures."""
-        w = self.shingle_w
-        all_sh: List[str] = []
-        starts = np.empty(len(token_lists), dtype=np.int64)
-        ends = np.empty(len(token_lists), dtype=np.int64)
-        for i, toks in enumerate(token_lists):
-            starts[i] = len(all_sh)
-            if len(toks) >= w:
-                all_sh.extend(self.shingles(toks, w))
-            ends[i] = len(all_sh)
-        hashes = hash_strings64(all_sh)
-        return affine_min_hash(hashes, self.a, self.b, starts, ends)
-
-    def signatures_from_analyzed(self, tokens: pa.ListArray) -> np.ndarray:
-        """(D, P) signatures straight from an AnalyzedBatch token
-        ListArray — shingling fully vectorized: the flat token array is
-        joined with its own 1- and 2-shifted views (w=3) via arrow
-        binary_join_element_wise, and per-doc ranges are derived from
-        the list offsets.  No per-document python at all."""
-        import pyarrow.compute as pc
-
-        w = self.shingle_w
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
-        offsets = tokens.offsets.to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        flat = tokens.values
-        n_docs = len(offsets) - 1
-        S = len(flat)
-        if S < w:
-            return np.full((n_docs, self.num_perm), P61, dtype=np.uint64)
-        # shingle i spans flat[i : i+w]; valid iff i+w <= doc_end
-        views = [flat.slice(k, S - w + 1) for k in range(w)]
-        joined = pc.binary_join_element_wise(*views, " ")
-        hashes_all = hash_strings64(joined.to_numpy(zero_copy_only=False))
-        # per-doc shingle ranges in the (S - w + 1)-long shingle space
-        sh_starts = np.minimum(offsets[:-1], S - w + 1)
-        sh_ends = np.maximum(offsets[1:] - (w - 1), sh_starts)
-        # docs shorter than w tokens produce no shingles
-        short = (offsets[1:] - offsets[:-1]) < w
-        sh_ends[short] = sh_starts[short]
-        # drop the cross-doc shingles (the w-1 gap per doc): range-union
-        # mask via +1/-1 deltas, then compact the kept hashes
-        delta = np.zeros(len(hashes_all) + 1, dtype=np.int64)
-        np.add.at(delta, sh_starts, 1)
-        np.add.at(delta, sh_ends, -1)
-        for_each = np.cumsum(delta[:-1]) > 0
-        kept = hashes_all[for_each]
-        keep = np.zeros(len(hashes_all) + 1, dtype=np.int64)
-        np.cumsum(for_each.astype(np.int64), out=keep[1:])
-        c_starts = keep[sh_starts]
-        c_ends = keep[sh_ends]
-        return affine_min_hash(kept, self.a, self.b, c_starts, c_ends)
-
     def mult_signatures_from_analyzed(self, tokens: pa.ListArray) -> np.ndarray:
-        """(D, P) signatures under the odd-multiplier wraparound
-        permutation family (hashing.mult_min_hash — one multiply per
-        (shingle, perm), ~40× faster than the Mersenne chain).  Empty
-        docs are uint64-max-filled."""
-        from .hashing import mult_min_hash
-
-        kept, c_starts, c_ends = self._compact_shingle_hashes(tokens)
-        return mult_min_hash(kept, self.mults, c_starts, c_ends)
-
-    def _compact_shingle_hashes(self, tokens: pa.ListArray):
-        """→ (kept shingle hashes, per-doc starts, per-doc ends) with
-        cross-doc shingles dropped and ranges tiling the array."""
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
-        hashes_all, sh_s, sh_e = _shingle_hash_ranges(tokens,
-                                                      self.shingle_w)
-        delta = np.zeros(len(hashes_all) + 1, dtype=np.int64)
-        np.add.at(delta, sh_s, 1)
-        np.add.at(delta, sh_e, -1)
-        mask = np.cumsum(delta[:-1]) > 0
-        kept = hashes_all[mask]
-        keep = np.zeros(len(hashes_all) + 1, dtype=np.int64)
-        np.cumsum(mask.astype(np.int64), out=keep[1:])
-        return kept, keep[sh_s], keep[sh_e]
-
-    def oph_signatures_from_analyzed(self, tokens: pa.ListArray) -> np.ndarray:
-        """(D, P) one-permutation signatures (hashing.oph_min_hash) from
-        an AnalyzedBatch token ListArray — the same vectorized arrow
-        shingling as ``signatures_from_analyzed``, with ONE hash pass
-        instead of P affine permutations.  Empty docs are
-        _OPH_EMPTY-filled."""
-        from .hashing import oph_min_hash
-
-        kept, c_starts, c_ends = self._compact_shingle_hashes(tokens)
-        return oph_min_hash(kept, c_starts, c_ends, self.num_perm)
+        """(D, P) signatures of an AnalyzedBatch token ListArray
+        (``hashing.mult_min_hash`` over the batch's shingle hashes).
+        Empty docs are EMPTY_SIG-filled."""
+        kept, starts, ends = _shingle_hashes(tokens, self.shingle_w)
+        return mult_min_hash(kept, self.mults, starts, ends)
 
     def signature(self, tokens: List[str]) -> Optional[np.ndarray]:
-        sig = self.signatures_batch([tokens])[0]
-        return None if (sig == P61).all() else sig
+        """One doc's signature; None when it has no shingles."""
+        sig = self.mult_signatures_from_analyzed(
+            pa.array([tokens], type=pa.list_(pa.string())))[0]
+        return None if (sig == EMPTY_SIG).all() else sig
 
 
 def _jaccard(a: set, b: set) -> float:
@@ -164,29 +82,35 @@ def _jaccard(a: set, b: set) -> float:
     return len(a & b) / len(a | b)
 
 
-def _shingle_hash_ranges(tokens: pa.ListArray, w: int):
-    """→ (flat shingle hashes, per-doc start, per-doc end) — the
-    vectorized arrow shingling shared with signatures_from_analyzed
-    (cross-doc shingles excluded via the per-doc range bounds)."""
+def _shingle_hashes(tokens: pa.ListArray, w: int):
+    """→ (shingle hashes, per-doc start, per-doc end), the ranges tiling
+    the hash array in doc order.  Fully vectorized: the flat token array
+    is joined with its own 1..w-1-shifted views (arrow
+    binary_join_element_wise) and hashed in one call; the shingles
+    that cross a doc boundary are then dropped."""
     import pyarrow.compute as pc
 
     if isinstance(tokens, pa.ChunkedArray):
         tokens = tokens.combine_chunks()
     offsets = tokens.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
     flat = tokens.values
-    n_docs = len(offsets) - 1
     S = len(flat)
     if S < w:
-        z = np.zeros(n_docs, dtype=np.int64)
+        z = np.zeros(len(offsets) - 1, dtype=np.int64)
         return np.empty(0, dtype=np.uint64), z, z
+    # shingle i spans flat[i : i+w]; a doc owns the shingles that start
+    # at its tokens and end inside it
     views = [flat.slice(k, S - w + 1) for k in range(w)]
     joined = pc.binary_join_element_wise(*views, " ")
     hashes_all = hash_strings64(joined.to_numpy(zero_copy_only=False))
-    sh_starts = np.minimum(offsets[:-1], S - w + 1)
-    sh_ends = np.maximum(offsets[1:] - (w - 1), sh_starts)
-    short = (offsets[1:] - offsets[:-1]) < w
-    sh_ends[short] = sh_starts[short]
-    return hashes_all, sh_starts, sh_ends
+    sh_s = np.minimum(offsets[:-1], S - w + 1)
+    lens = np.maximum(offsets[1:] - (w - 1) - sh_s, 0)
+    # the docs' ranges are disjoint and ascending: gather them end to end
+    ends = np.cumsum(lens)
+    starts = ends - lens
+    idx = np.arange(int(ends[-1]) if len(ends) else 0, dtype=np.int64)
+    idx += np.repeat(sh_s - starts, lens)
+    return hashes_all[idx], starts, ends
 
 
 def _empty_pairs() -> pa.Table:
@@ -205,22 +129,16 @@ _JOIN_SCHEMA = pa.schema([
 
 
 def _unique_hash_lists(tokens, shingle_w: int) -> pa.ListArray:
-    """Per-doc UNIQUE shingle-hash lists, fully vectorized: one arrow
-    shingle join + hash over the whole batch, then a (doc, hash) lexsort
+    """Per-doc UNIQUE shingle-hash lists, fully vectorized: the batch's
+    shingle hashes (``_shingle_hashes``), then a (doc, hash) lexsort
     + run-length dedup — no per-document python."""
-    hashes_all, sh_s, sh_e = _shingle_hash_ranges(tokens, shingle_w)
-    lens = sh_e - sh_s
+    kept, starts, ends = _shingle_hashes(tokens, shingle_w)
+    lens = ends - starts
     n = len(lens)
-    if lens.sum() == 0:
+    if len(kept) == 0:
         return pa.ListArray.from_arrays(
             pa.array(np.zeros(n + 1, dtype=np.int64), type=pa.int32()),
             pa.array(np.empty(0, dtype=np.uint64), type=pa.uint64()))
-    # compact the kept ranges (drop cross-doc shingles)
-    delta = np.zeros(len(hashes_all) + 1, dtype=np.int64)
-    np.add.at(delta, sh_s, 1)
-    np.add.at(delta, sh_e, -1)
-    mask = np.cumsum(delta[:-1]) > 0
-    kept = hashes_all[mask]
     doc_rep = np.repeat(np.arange(n, dtype=np.int64), lens)
     order = np.lexsort((kept, doc_rep))
     d2, h2 = doc_rep[order], kept[order]
@@ -237,25 +155,13 @@ def _unique_hash_lists(tokens, shingle_w: int) -> pa.ListArray:
         pa.array(flat, type=pa.uint64()))
 
 
-def _make_shingle_stage(needed_ref, text_col: str, id_col: str,
-                        shingle_w: int, analyzer: str):
-    """Shingle the candidate docs only.  The candidate id array is a
-    ``ray.put`` broadcast: each task fetches it zero-copy from the local
-    object store (never re-shipped per batch in a closure)."""
+def _make_shingle_stage(text_col: str, id_col: str, shingle_w: int,
+                        analyzer: str):
+    """Every doc's row for the reduce-side join: its unique shingle-hash
+    set keyed by doc id."""
 
     def stage(batch: pa.Table) -> pa.Table:
-        import ray
-
         ids = batch.column(id_col).cast(pa.int64()).to_numpy()
-        if needed_ref is not None:
-            needed = ray.get(needed_ref)
-            pos = np.searchsorted(needed, ids).clip(0, len(needed) - 1)
-            keep = np.flatnonzero(needed[pos] == ids)
-            if len(keep) == 0:
-                return pa.Table.from_pydict(
-                    {f.name: [] for f in _JOIN_SCHEMA}, schema=_JOIN_SCHEMA)
-            batch = batch.take(pa.array(keep, type=pa.int64()))
-            ids = ids[keep]
         out = analyze_batch(batch.column(text_col), analyzer)
         hl = _unique_hash_lists(out.tokens, shingle_w)
         n = len(ids)
@@ -432,10 +338,8 @@ def _fused_verify(ds, cand, text_col: str, id_col: str, threshold: float,
     hashes equals string-set jaccard up to ~1e-13 collision odds."""
     import ray
 
-    allp = pa.concat_tables(
-        list(cand.iter_batches(batch_format="pyarrow"))) \
-        if cand is not None else None
-    if allp is None or allp.num_rows == 0:
+    allp = _collect(cand)
+    if allp is None:
         return _empty_pairs()
     a = allp.column("id_a").to_numpy().astype(np.int64)
     b = allp.column("id_b").to_numpy().astype(np.int64)
@@ -449,7 +353,6 @@ def _fused_verify(ds, cand, text_col: str, id_col: str, threshold: float,
     # doc -> (pair, side) slots, sorted by doc id for searchsorted lookup
     docs = np.concatenate([a, b])
     pcode = np.tile(np.arange(n_pairs, dtype=np.int64), 2)
-    side = np.repeat(np.array([0, 1], dtype=np.int32), n_pairs)
     o = np.argsort(docs, kind="stable")
     lookup_ref = ray.put((docs[o], pcode[o], a, b))
 
@@ -538,19 +441,27 @@ def _fused_verify(ds, cand, text_col: str, id_col: str, threshold: float,
             "jaccard": pa.array(np.round(jac[hit], 6), type=pa.float64()),
         })
 
-    verified = fan.sort("pair").map_batches(
+    return _sorted_pairs(fan.sort("pair").map_batches(
         jaccard_block, batch_size=None, batch_format="pyarrow",
         **remote_args(),
-    )
-    pdf = verified.to_pandas()
-    if len(pdf) == 0:
+    ))
+
+
+def _collect(ds) -> Optional[pa.Table]:
+    """A Dataset's non-empty blocks as one Arrow table (None if none)."""
+    blocks = [t for t in ds.iter_batches(batch_size=None,
+                                         batch_format="pyarrow")
+              if t.num_rows]
+    return pa.concat_tables(blocks) if blocks else None
+
+
+def _sorted_pairs(verified) -> pa.Table:
+    """The verified-pairs Dataset → one (id_a, id_b)-sorted table."""
+    tbl = _collect(verified)
+    if tbl is None:
         return _empty_pairs()
-    pdf = pdf.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    return pa.table({
-        "id_a": pa.array(pdf["id_a"].astype(np.int64)),
-        "id_b": pa.array(pdf["id_b"].astype(np.int64)),
-        "jaccard": pa.array(pdf["jaccard"].astype(np.float64)),
-    })
+    return tbl.cast(_empty_pairs().schema).sort_by(
+        [("id_a", "ascending"), ("id_b", "ascending")]).combine_chunks()
 
 
 # the fused verify holds the deduped candidate-pair id arrays on the
@@ -568,106 +479,23 @@ def minhash_lsh_pairs(
     bands: int = 32,
     shingle_w: int = 3,
     analyzer: str = "default",
-    prune_candidates: bool = True,
-    candidate_broadcast_cap: int = DEFAULT_CANDIDATE_BROADCAST_CAP,
-    sig_method: str = "mult",
 ) -> pa.Table:
     """→ pa.Table (id_a, id_b, jaccard) for verified near-dup pairs,
-    id_a < id_b.  See module docstring for the distributed shape.
-    ``prune_candidates=True`` auto-falls back to the reduce-side join
-    when the candidate-pair count exceeds ``candidate_broadcast_cap``
-    (the fused path's driver/broadcast bound).
-
-    ``sig_method``: ``"mult"`` (default) = k odd-multiplier wraparound
-    permutations (bijections of the hash space — the same 2-universal
-    family class as the Mersenne chain at ONE multiply per
-    (shingle, perm); pair-set-identical to "affine" at sf0.001 / 0.01 /
-    sf1 / sf3, 6.4× faster end-to-end at sf3).  ``"affine"`` = the
-    classic (a·x+b) mod 2^61-1 permutations (the reference family,
-    kept as the cross-check).
-    ``"oph"`` = one-permutation hashing with rotation densification
-    (Li/Owen/Zhang NIPS'12; Shrivastava/Li ICML'14) — ONE hash pass
-    instead of k permutations (~15× less signature arithmetic per
-    batch, measured), for corpora of LONG documents.  Sparse docs
-    (< 2×num_perm shingles) additionally emit classic affine bands in
-    a salted second bucket family, because OPH resolution degrades
-    below ~1 shingle/bin (a measured near-threshold miss) — the
-    J >= t length filter guarantees a qualifying pair is either
-    both-sparse (affine family) or both-dense (OPH family), so the
-    union loses nothing; verified pair-set-identical to "affine" at
-    sf1 and sf3.  Either way the reported pairs are EXACT-jaccard
-    verified — the method only shapes candidate recall."""
-    import ray
-
-    from .hashing import _OPH_EMPTY
-
-    if sig_method not in ("oph", "affine", "mult"):
-        raise ValueError(f"unknown sig_method {sig_method!r}")
+    id_a < id_b, sorted by (id_a, id_b).  See the module docstring for
+    the distributed shape; the verify is the fused broadcast path unless
+    the candidate-pair count exceeds DEFAULT_CANDIDATE_BROADCAST_CAP."""
     hasher = MinHasher(num_perm, shingle_w=shingle_w)
-    rows_per_band = num_perm // bands
-    # OPH rotation densification copies values in contiguous-bin RUNS
-    # for sparse docs; CONTIGUOUS bands would then fire whenever a run
-    # covers them (P(band) ≈ agreement, not agreement^rows — measured
-    # 9.2M candidates vs 85k at sf1).  A strided bin→band assignment
-    # (band b ← bins b, b+bands, b+2*bands, …) spreads every band
-    # across the circle, restoring near-independent rows per band.
-    oph_perm = (np.arange(num_perm).reshape(rows_per_band, bands)
-                .T.ravel())
-    # docs far sparser than the bin count carry too few distinct values
-    # for OPH banding (a 14-shingle doc has 14-sample resolution — a
-    # measured near-threshold miss); such docs ALSO emit exact affine
-    # bands.  Affine cost is shingles × P, so sparse docs are cheap by
-    # definition, and the J >= t length filter (sizes within ratio t)
-    # means a qualifying pair is either both under ~2×bins (affine
-    # family catches it) or both dense enough for OPH — the family
-    # salt keeps the two bucket spaces disjoint.
-    oph_sparse_cutoff = 2 * num_perm
-    _FAMILY_SALT = np.uint64(0xD1B54A32D192ED03)
 
     def stage_bands(batch: pa.Table) -> pa.Table:
         out = analyze_batch(batch.column(text_col), analyzer)
         ids = batch.column(id_col).cast(pa.int64()).to_numpy()
-        tokens = out.tokens
-        if isinstance(tokens, pa.ChunkedArray):
-            tokens = tokens.combine_chunks()
-        if sig_method in ("affine", "mult"):
-            if sig_method == "affine":
-                sigs = hasher.signatures_from_analyzed(tokens)
-                fill = P61
-            else:
-                sigs = hasher.mult_signatures_from_analyzed(tokens)
-                fill = _OPH_EMPTY
-            nonempty = np.flatnonzero(~(sigs == fill).all(axis=1))
-            if len(nonempty) == 0:
-                return pa.table({"bkey": pa.array([], type=pa.uint64()),
-                                 id_col: pa.array([], type=pa.int64())})
-            keys = band_keys(sigs[nonempty], bands)       # (D', bands)
-            return pa.table({
-                "bkey": pa.array(keys.ravel(), type=pa.uint64()),
-                id_col: pa.array(np.repeat(ids[nonempty], bands),
-                                 type=pa.int64()),
-            })
-        sigs = hasher.oph_signatures_from_analyzed(tokens)[:, oph_perm]
-        nonempty = np.flatnonzero(~(sigs == _OPH_EMPTY).all(axis=1))
-        if len(nonempty) == 0:
-            return pa.table({"bkey": pa.array([], type=pa.uint64()),
-                             id_col: pa.array([], type=pa.int64())})
-        key_chunks = [band_keys(sigs[nonempty], bands).ravel()]
-        id_chunks = [np.repeat(ids[nonempty], bands)]
-        tok_counts = np.diff(tokens.offsets.to_numpy(
-            zero_copy_only=False).astype(np.int64))
-        sh_counts = np.maximum(tok_counts - shingle_w + 1, 0)
-        sparse = np.flatnonzero((sh_counts > 0)
-                                & (sh_counts < oph_sparse_cutoff))
-        if len(sparse):
-            sub = tokens.take(pa.array(sparse, type=pa.int64()))
-            asigs = hasher.signatures_from_analyzed(sub)
-            akeys = band_keys(asigs, bands) ^ _FAMILY_SALT
-            key_chunks.append(akeys.ravel())
-            id_chunks.append(np.repeat(ids[sparse], bands))
+        sigs = hasher.mult_signatures_from_analyzed(out.tokens)
+        nonempty = np.flatnonzero(~(sigs == EMPTY_SIG).all(axis=1))
+        keys = band_keys(sigs[nonempty], bands)       # (D', bands)
         return pa.table({
-            "bkey": pa.array(np.concatenate(key_chunks), type=pa.uint64()),
-            id_col: pa.array(np.concatenate(id_chunks), type=pa.int64()),
+            "bkey": pa.array(keys.ravel(), type=pa.uint64()),
+            id_col: pa.array(np.repeat(ids[nonempty], bands),
+                             type=pa.int64()),
         })
 
     banded = ds.map_batches(stage_bands, batch_format="pyarrow",
@@ -681,21 +509,14 @@ def minhash_lsh_pairs(
         batch_size=None, batch_format="pyarrow", **remote_args(),
     ).materialize()  # consumed once for count, once for the verify
 
-    if prune_candidates and cand.count() > candidate_broadcast_cap:
-        import logging
-
-        logging.getLogger(__name__).info(
-            "minhash: %d candidate pairs exceed the broadcast cap %d — "
-            "switching to the reduce-side join verify",
-            cand.count(), candidate_broadcast_cap)
-        prune_candidates = False
-
-    if prune_candidates:
-        # fused verify: ONE exchange, vectorized jaccard (round-3).
-        # prune_candidates=False keeps the reduce-side join below for
-        # candidate volumes too large to broadcast as id arrays.
+    n_cand = cand.count()
+    if n_cand <= DEFAULT_CANDIDATE_BROADCAST_CAP:
         return _fused_verify(ds, cand, text_col, id_col, threshold,
                              shingle_w, analyzer)
+    logging.getLogger(__name__).info(
+        "minhash: %d candidate pairs exceed the broadcast cap %d — "
+        "switching to the reduce-side join verify",
+        n_cand, DEFAULT_CANDIDATE_BROADCAST_CAP)
 
     # pair-endpoint rows for the reduce-side join (duplicate pairs from
     # multiple bands collapse inside the join stage)
@@ -716,38 +537,19 @@ def minhash_lsh_pairs(
 
     ends_ds = cand.map_batches(endpoints, batch_format="pyarrow",
                                **remote_args())
-    # consumed twice (candidate-id pass + the join union): materialize so
-    # the banding/sort/bucket chain does not re-execute
-    ends_ds = ends_ds.materialize()
-
-    # this branch (prune_candidates=False) shingles ALL docs — no
-    # candidate broadcast, for when even the id arrays would not fit
-    needed_ref = None
-
     shingle_ds = ds.map_batches(
-        _make_shingle_stage(needed_ref, text_col, id_col, shingle_w,
-                            analyzer),
+        _make_shingle_stage(text_col, id_col, shingle_w, analyzer),
         batch_format="pyarrow",
         **remote_args(),
     )
-
     joined = ends_ds.union(shingle_ds).sort("jkey").map_batches(
         _attach_shingles_block, batch_size=None, batch_format="pyarrow",
         **remote_args(),
     )
-    verified = joined.sort(["pair_a", "pair_b"]).map_batches(
+    return _sorted_pairs(joined.sort(["pair_a", "pair_b"]).map_batches(
         _make_pair_jaccard_block(threshold), batch_size=None,
         batch_format="pyarrow", **remote_args(),
-    )
-    pdf = verified.to_pandas()
-    if len(pdf) == 0:
-        return _empty_pairs()
-    pdf = pdf.sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    return pa.table({
-        "id_a": pa.array(pdf["id_a"].astype(np.int64)),
-        "id_b": pa.array(pdf["id_b"].astype(np.int64)),
-        "jaccard": pa.array(pdf["jaccard"].astype(np.float64)),
-    })
+    ))
 
 
 def ngram_jaccard_pairs(ds, text_col="text", id_col="doc_id",
@@ -764,10 +566,12 @@ def ngram_jaccard_pairs(ds, text_col="text", id_col="doc_id",
             "shingles": pa.array(sh, type=pa.list_(pa.string())),
         })
 
-    tbl = ds.map_batches(stage, batch_format="pyarrow",
-                         **remote_args()).to_pandas()
-    ids = tbl[id_col].tolist()
-    sets = [set(s) for s in tbl["shingles"]]
+    tbl = _collect(ds.map_batches(stage, batch_format="pyarrow",
+                                  **remote_args()))
+    if tbl is None:
+        return _empty_pairs()
+    ids = tbl.column(id_col).to_pylist()
+    sets = [set(s) for s in tbl.column("shingles").to_pylist()]
     rows = []
     for i in range(len(ids)):
         if not sets[i]:

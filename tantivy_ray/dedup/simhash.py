@@ -41,52 +41,13 @@ class SimHasher:
         self.nbits = 64
         self.shingle_w = shingle_w
 
-    _feature_hashes = staticmethod(hash_strings64)
-
-    def features(self, tokens: List[str]) -> List[str]:
-        w = self.shingle_w
-        if len(tokens) < w:
-            return [" ".join(tokens)] if tokens else []
-        return sorted({" ".join(tokens[i:i + w])
-                       for i in range(len(tokens) - w + 1)})
-
-    def fingerprints_batch(self, token_lists: List[List[str]]) -> np.ndarray:
-        """(D,) uint64 fingerprints, vectorized across the whole batch:
-        one C-speed hash over all features + per-doc bit-sums via
-        integer ``np.add.reduceat`` over contiguous feature runs."""
-        all_feats: List[str] = []
-        starts = np.empty(len(token_lists), dtype=np.int64)
-        counts = np.empty(len(token_lists), dtype=np.int64)
-        for i, toks in enumerate(token_lists):
-            f = self.features(toks)
-            starts[i] = len(all_feats)
-            counts[i] = len(f)
-            all_feats.extend(f)
-        out = np.zeros(len(token_lists), dtype=np.uint64)
-        if not all_feats:
-            return out
-        h = hash_strings64(all_feats)
-        bits = ((h[:, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-                ).astype(np.int64)                       # (S, 64)
-        nonempty = np.flatnonzero(counts > 0)
-        if len(nonempty) == 0:
-            return out
-        ones = np.add.reduceat(bits, starts[nonempty], axis=0)  # (D', 64)
-        # ±1 votes: bit set iff ones > count/2 (ties → 0, matching the
-        # strict `v > 0` sign rule: 2*ones - count > 0)
-        pos = (2 * ones) > counts[nonempty][:, None]
-        weights = np.left_shift(np.uint64(1),
-                                np.arange(64, dtype=np.uint64))
-        out[nonempty] = (pos.astype(np.uint64) * weights[None, :]).sum(axis=1)
-        return out
-
     def fingerprints_from_analyzed(self, tokens: pa.ListArray) -> np.ndarray:
         """(D,) uint64 fingerprints straight from an AnalyzedBatch token
-        ListArray — no per-document python.  Feature set is identical to
-        ``features()``: unique token w-gram shingles (via the shared
-        arrow shingle join + lexsort dedup), or the single whole-doc
-        join for docs shorter than w tokens (whose 1-feature fingerprint
-        is the feature hash itself — every bit vote is that bit)."""
+        ListArray — no per-document python.  The features are the
+        unique token w-gram shingles (via the shared arrow shingle join
+        + lexsort dedup), or the single whole-doc join for docs shorter
+        than w tokens (whose 1-feature fingerprint is the feature hash
+        itself — every bit vote is that bit)."""
         import pyarrow.compute as pc
 
         from .minhash import _unique_hash_lists
@@ -124,7 +85,9 @@ class SimHasher:
         return out
 
     def fingerprint(self, tokens: List[str]) -> int:
-        return int(self.fingerprints_batch([tokens])[0])
+        """One doc's fingerprint (0 for a doc with no tokens)."""
+        return int(self.fingerprints_from_analyzed(
+            pa.array([tokens], type=pa.list_(pa.string())))[0])
 
 
 def hamming(a: int, b: int) -> int:

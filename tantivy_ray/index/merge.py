@@ -682,21 +682,16 @@ class MergedSearcher:
                 np.float32(meta["total_num_tokens"])
                 / np.float32(max(1, self.total_num_docs)))
 
-    def _make_weights(self, terms, dfs):
-        from ..bm25 import Bm25Weight
-
-        return [Bm25Weight.for_one_term(
-            max(dfs.get(t, 0), 1), self.total_num_docs,
-            self.average_fieldnorm) for t in terms]
-
     def search(self, terms, mode: str = "or", k: int = 10):
+        from ..bm25 import term_weights
         from ..search.searcher import global_topk
 
         terms = list(terms)
         dfs = {t: self.reader.doc_freq(t) for t in terms}
+        weights = term_weights(terms, dfs, self.total_num_docs,
+                               self.average_fieldnorm)
         gv = self._gv
-        return global_topk(self.reader.postings, terms,
-                           self._make_weights(terms, dfs), mode, k,
+        return global_topk(self.reader.postings, terms, weights, mode, k,
                            gv["fids"], gv["bases"], self._ords)
 
     def search_fuzzy(self, term: str, distance: int = 1, k: int = 10,

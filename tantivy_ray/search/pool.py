@@ -109,22 +109,23 @@ class _SearcherHost:
             self._parse(q[1]), int(q[2]), doc_freq_of=df_of) for q in chunk])
 
     def _ranked(self, chunk, hits) -> pa.Table:
-        """The ranked hit table of the chunk's per-query ``hits``, built
-        column by column."""
+        """The ranked hit table of the chunk's per-query ``hits``: each
+        column is built as a numpy array, then wrapped as Arrow."""
         self.chunks_served += 1
+        lens = np.fromiter(map(len, hits), np.int64, len(hits))
         flat = [h for hs in hits for h in hs]
         if not flat:
             return _empty_result()
         score, seg, doc = zip(*flat)
-        return pa.table({
-            "query_id": pa.array([int(q[0]) for q, hs in zip(chunk, hits)
-                                  for _ in hs], type=pa.int64()),
-            "rank": pa.array([r for hs in hits for r in range(len(hs))],
-                             type=pa.int32()),
-            "score": pa.array(score, type=pa.float32()),
-            "segment_ord": pa.array(seg, type=pa.int32()),
-            "doc_id": pa.array(doc, type=pa.int64()),
-        })
+        starts = np.cumsum(lens) - lens
+        cols = (np.repeat(np.array([q[0] for q in chunk], np.int64), lens),
+                (np.arange(len(flat)) - np.repeat(starts, lens)
+                 ).astype(np.int32),
+                np.array(score, np.float32),
+                np.array(seg, np.int32),
+                np.array(doc, np.int64))
+        return pa.Table.from_arrays([pa.array(c) for c in cols],
+                                    schema=_HIT_SCHEMA)
 
 
 def _df_of(doc_freqs):
@@ -166,14 +167,14 @@ def _merge_topk_table(tbl: pa.Table, queries) -> pa.Table:
     })
 
 
+_HIT_SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int32()),
+                         ("score", pa.float32()),
+                         ("segment_ord", pa.int32()),
+                         ("doc_id", pa.int64())])
+
+
 def _empty_result() -> pa.Table:
-    return pa.table({
-        "query_id": pa.array([], type=pa.int64()),
-        "rank": pa.array([], type=pa.int32()),
-        "score": pa.array([], type=pa.float32()),
-        "segment_ord": pa.array([], type=pa.int32()),
-        "doc_id": pa.array([], type=pa.int64()),
-    })
+    return _HIT_SCHEMA.empty_table()
 
 
 def _gather(tables: Sequence[pa.Table], queries, sharded: bool) -> pa.Table:

@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analyzer import get_analyzer
-from ..bm25 import Bm25Weight
+from ..bm25 import Bm25Weight, term_weights
 from ..index.manifest import IndexManifest, load_manifest
 from ..index.segment import SegmentReader, segment_dir_name
 from .wand import block_max_wand_intersection_topk, block_max_wand_topk
@@ -294,17 +294,9 @@ class IndexSearcher:
         self, terms: Sequence[str], doc_freqs: Optional[Dict[str, int]] = None,
         boosts: Optional[Sequence[float]] = None,
     ) -> List[Bm25Weight]:
-        dfs = doc_freqs or self.doc_freqs(terms)
-        ws = []
-        for i, t in enumerate(terms):
-            df = dfs.get(t, 0)
-            w = Bm25Weight.for_one_term(
-                max(df, 1) if df else 1, self.total_num_docs, self.average_fieldnorm
-            ) if df > 0 else Bm25Weight.for_one_term(1, self.total_num_docs, self.average_fieldnorm)
-            if boosts is not None and boosts[i] != 1.0:
-                w = w.boost_by(boosts[i])
-            ws.append(w)
-        return ws
+        return term_weights(terms, doc_freqs or self.doc_freqs(terms),
+                            self.total_num_docs, self.average_fieldnorm,
+                            boosts)
 
     # --- queries ---
     def search(

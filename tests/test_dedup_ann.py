@@ -47,6 +47,43 @@ class TestMinHashUnit:
         h = MinHasher()
         assert h.signature(["a", "b"]) is None
 
+    def test_mult_kernel_matches_per_doc_reference(self):
+        """mult_min_hash equals a plain per-doc min(mults * hashes) (mod
+        2^64) over empty, one-shingle and long docs — one long enough to
+        split the permutations into chunks — and the default
+        multipliers keep their bytes.  Together they pin every
+        signature a faster kernel must reproduce."""
+        import hashlib
+
+        from tantivy_ray.dedup.hashing import EMPTY_SIG, mult_min_hash
+
+        h = MinHasher()
+        assert hashlib.sha256(h.mults.tobytes()).hexdigest() == (
+            "63dea4b20a45579c03b3ca27515f4582bff269faf208371d8a3d500ef864d68a")
+        rng = np.random.RandomState(17)
+        lens = np.array([0, 1, 0, 3, 1, 500, 0, 40_000, 1, 0])
+        hi = rng.randint(0, 2**32, size=lens.sum()).astype(np.uint64)
+        lo = rng.randint(0, 2**32, size=lens.sum()).astype(np.uint64)
+        hashes = (hi << np.uint64(32)) | lo
+        hashes[:2] = [0, 2**64 - 1]
+        ends = np.cumsum(lens)
+        starts = ends - lens
+        got = mult_min_hash(hashes, h.mults, starts, ends)
+        assert got.shape == (len(lens), h.num_perm)
+        for d, (s, e) in enumerate(zip(starts, ends)):
+            if s == e:
+                assert (got[d] == EMPTY_SIG).all()
+            else:
+                want = (h.mults[:, None] * hashes[None, s:e]).min(axis=1)
+                assert got[d].tobytes() == want.tobytes(), d
+        # a one-doc signature is that doc's row of the batch kernel
+        toks = pa.array([BASE.split(), ["a", "b"], OTHER.split()],
+                        type=pa.list_(pa.string()))
+        rows = h.mult_signatures_from_analyzed(toks)
+        assert (rows[1] == EMPTY_SIG).all()
+        assert h.signature(BASE.split()).tobytes() == rows[0].tobytes()
+        assert h.signature(OTHER.split()).tobytes() == rows[2].tobytes()
+
 
 class TestSimHashUnit:
     def test_near_docs_low_hamming(self):
@@ -101,6 +138,48 @@ class TestDedupPipelines:
         # distance 7 is recall-exact, so every true pair must be found
         assert jacc_set <= simhash_set
 
+    @pytest.mark.parametrize("corpus", ["synthetic", "sf0.001"])
+    def test_minhash_fused_equals_reduce_side_join(self, corpus,
+                                                   monkeypatch, caplog):
+        """A zero broadcast cap forces the reduce-side-join verify; it
+        must return the same table as the fused broadcast path."""
+        import logging
+
+        import ray.data as rd
+
+        from tantivy_ray.dedup import minhash as mh
+
+        if corpus == "synthetic":
+            base = ("the quick brown fox jumps over the lazy dog and then "
+                    "runs far away into the deep dark forest tonight").split()
+            rows = []
+            for i in range(30):
+                toks = list(base)
+                if i % 3 == 0:
+                    toks[i % len(toks)] = f"mut{i}"   # near-dups of base
+                else:
+                    toks = [f"w{i}_{j}" for j in range(18)]  # distinct
+                rows.append({"doc_id": i, "text": " ".join(toks)})
+            threshold = 0.6
+
+            def docs():
+                return rd.from_items(rows)
+        else:
+            threshold = 0.8
+
+            def docs():
+                return rd.read_parquet(
+                    "/root/testdata/sf0.001/documents.parquet",
+                    columns=["doc_id", "text"], override_num_blocks=3)
+
+        fused = minhash_lsh_pairs(docs(), threshold=threshold)
+        monkeypatch.setattr(mh, "DEFAULT_CANDIDATE_BROADCAST_CAP", 0)
+        with caplog.at_level(logging.INFO, logger=mh.__name__):
+            joined = minhash_lsh_pairs(docs(), threshold=threshold)
+        assert "reduce-side join" in caplog.text
+        assert fused.num_rows > 0
+        assert fused.equals(joined)
+
     def test_exact_dedup(self, docs_ds):
         kept = exact_dedup(docs_ds).to_pandas()
         assert len(kept) == 500  # no exact dups in this corpus
@@ -113,6 +192,204 @@ class TestDedupPipelines:
         ])
         kept = exact_dedup(dup_ds).to_pandas().sort_values("doc_id")
         assert kept["doc_id"].tolist() == [1, 3]
+
+
+class TestVectorizedDedupKernels:
+    """Vectorization parity: the python-loop bucket/fingerprint paths
+    were replaced with segment_pairs / popcount64 / arrow-native
+    fingerprinting — these pin the new kernels to the old semantics."""
+
+    def test_segment_pairs_matches_triu(self):
+        import numpy as np
+
+        from tantivy_ray.dedup.hashing import segment_pairs
+
+        rng = np.random.RandomState(3)
+        sizes = rng.randint(0, 7, size=50)
+        starts = np.cumsum(sizes) - sizes
+        ends = starts + sizes
+        ii, jj = segment_pairs(starts, ends)
+        expect = []
+        for s, e in zip(starts, ends):
+            iu, ju = np.triu_indices(e - s, k=1)
+            expect.extend(zip((iu + s).tolist(), (ju + s).tolist()))
+        assert list(zip(ii.tolist(), jj.tolist())) == expect
+
+    def test_popcount64_matches_python(self):
+        import numpy as np
+
+        from tantivy_ray.dedup.hashing import popcount64
+
+        rng = np.random.RandomState(5)
+        x = rng.randint(0, 2**63, size=200).astype(np.uint64)
+        x[:3] = [0, 1, 2**64 - 1]
+        got = popcount64(x)
+        assert got.tolist() == [bin(int(v)).count("1") for v in x]
+
+    def test_simhash_analyzed_fingerprints_match_batch_path(self):
+        import numpy as np
+        import pyarrow as pa
+
+        from tantivy_ray.dedup.hashing import hash_strings64
+        from tantivy_ray.dedup.simhash import SimHasher
+
+        def features(tokens, w):
+            # the unique token w-grams, or the whole-doc join for a doc
+            # shorter than w tokens
+            if len(tokens) < w:
+                return [" ".join(tokens)] if tokens else []
+            return sorted({" ".join(tokens[i:i + w])
+                           for i in range(len(tokens) - w + 1)})
+
+        def fingerprints_batch(token_lists, w):
+            # the per-list reference: one hash over all features +
+            # per-doc bit-sums via integer np.add.reduceat over
+            # contiguous feature runs
+            all_feats = []
+            starts = np.empty(len(token_lists), dtype=np.int64)
+            counts = np.empty(len(token_lists), dtype=np.int64)
+            for i, toks in enumerate(token_lists):
+                f = features(toks, w)
+                starts[i] = len(all_feats)
+                counts[i] = len(f)
+                all_feats.extend(f)
+            out = np.zeros(len(token_lists), dtype=np.uint64)
+            if not all_feats:
+                return out
+            h = hash_strings64(all_feats)
+            bits = ((h[:, None] >> np.arange(64, dtype=np.uint64))
+                    & np.uint64(1)).astype(np.int64)          # (S, 64)
+            nonempty = np.flatnonzero(counts > 0)
+            if len(nonempty) == 0:
+                return out
+            ones = np.add.reduceat(bits, starts[nonempty], axis=0)
+            # ±1 votes: bit set iff ones > count/2 (ties → 0, matching
+            # the strict `v > 0` sign rule: 2*ones - count > 0)
+            pos = (2 * ones) > counts[nonempty][:, None]
+            weights = np.left_shift(np.uint64(1),
+                                    np.arange(64, dtype=np.uint64))
+            out[nonempty] = (pos.astype(np.uint64)
+                             * weights[None, :]).sum(axis=1)
+            return out
+
+        rng = np.random.RandomState(11)
+        vocab = ["alpha", "beta", "gamma", "delta", "eps", "zeta"]
+        token_lists = []
+        for n in [0, 1, 2, 3, 4, 9, 40, 2, 0, 17]:
+            token_lists.append(
+                [vocab[i] for i in rng.randint(0, len(vocab), size=n)])
+        hasher = SimHasher()
+        tokens = pa.array(token_lists, type=pa.list_(pa.string()))
+        got = hasher.fingerprints_from_analyzed(tokens)
+        # fingerprints_batch zero-fills empty docs; the analyzed path too
+        want = fingerprints_batch(token_lists, hasher.shingle_w)
+        assert got.tolist() == want.tolist()
+
+    def test_piece_pair_tables_cover_all_close_pairs(self):
+        """Pigeonhole property of the Manku piece-pair banding: any two
+        fingerprints within hamming distance k share at least one of the
+        C(k+2, 2) piece-pair bucket keys."""
+        from itertools import combinations
+
+        import numpy as np
+
+        from tantivy_ray.dedup.hashing import popcount64
+        from tantivy_ray.dedup.simhash import _piece_layout
+
+        rng = np.random.RandomState(7)
+        for k in [0, 1, 3, 10]:
+            n_pieces = k + 2
+            widths, offsets = _piece_layout(n_pieces)
+            combos = list(combinations(range(n_pieces), 2))
+
+            def keys_of(fp):
+                pieces = [(fp >> np.uint64(offsets[p]))
+                          & np.uint64((1 << widths[p]) - 1)
+                          for p in range(n_pieces)]
+                return {(t, int(pieces[p]), int(pieces[q]))
+                        for t, (p, q) in enumerate(combos)}
+
+            for _ in range(40):
+                a = np.uint64(rng.randint(0, 2**63))
+                flips = rng.choice(64, size=rng.randint(0, k + 1),
+                                   replace=False)
+                b = a
+                for f in flips:
+                    b = np.uint64(b ^ np.uint64(1 << int(f)))
+                d = int(popcount64(np.array([a ^ b]))[0])
+                assert d <= k
+                assert keys_of(a) & keys_of(b), (k, d)
+
+    def test_simhash_pairs_guards_and_small_k(self, ray_session):
+        """k=0 degenerates to one full-64-bit table (exact-dup pairs
+        only); out-of-range k raises."""
+        import pyarrow as pa
+        import pytest
+        import ray.data as rd
+
+        from tantivy_ray.dedup.simhash import simhash_pairs
+
+        tbl = pa.table({
+            "doc_id": pa.array([1, 2, 3, 4], type=pa.int64()),
+            "text": pa.array([
+                "alpha beta gamma delta epsilon",
+                "alpha beta gamma delta epsilon",
+                "totally different words here now",
+                "yet another unrelated document text",
+            ]),
+        })
+        ds = rd.from_arrow(tbl)
+        out = simhash_pairs(ds, max_distance=0)
+        assert out.to_pydict() == {"id_a": [1], "id_b": [2],
+                                   "distance": [0]}
+        with pytest.raises(ValueError):
+            simhash_pairs(ds, max_distance=63)
+
+    def test_simhash_pairs_match_bruteforce_random(self, ray_session):
+        """Full-pipeline recall-exactness of the piece-pair banding: on a
+        random mutated corpus, simhash_pairs equals brute-force all-pairs
+        popcount over the same fingerprints (banding may only prune, and
+        the pigeonhole guarantees it prunes nothing within distance k)."""
+        import numpy as np
+        import pyarrow as pa
+        import ray.data as rd
+
+        from tantivy_ray.analyzer import get_analyzer
+        from tantivy_ray.dedup.hashing import popcount64
+        from tantivy_ray.dedup.simhash import SimHasher, simhash_pairs
+
+        rng = np.random.RandomState(23)
+        vocab = [f"w{i}" for i in range(300)]
+        texts = []
+        for i in range(80):
+            base = [vocab[j] for j in rng.randint(0, 300, size=30)]
+            texts.append(" ".join(base))
+            if i % 3 == 0:  # planted near-dup: mutate a couple tokens
+                mut = list(base)
+                for p in rng.choice(30, size=2, replace=False):
+                    mut[p] = vocab[rng.randint(0, 300)]
+                texts.append(" ".join(mut))
+        ids = list(range(1, len(texts) + 1))
+        ds = rd.from_arrow(pa.table({
+            "doc_id": pa.array(ids, type=pa.int64()),
+            "text": pa.array(texts)}))
+        k = 10
+        got = simhash_pairs(ds, max_distance=k)
+        got_set = set(zip(got.column("id_a").to_pylist(),
+                          got.column("id_b").to_pylist(),
+                          got.column("distance").to_pylist()))
+        # independent brute force over the same analyzer+fingerprints
+        an = get_analyzer("default")
+        hasher = SimHasher()
+        fps = np.array(
+            [hasher.fingerprint([tok.text for tok in an.analyze(t)])
+             for t in texts], dtype=np.uint64)
+        want = set()
+        for i in range(len(ids)):
+            d = popcount64(fps[i] ^ fps[i + 1:])
+            for off in np.flatnonzero(d <= k):
+                want.add((ids[i], ids[i + 1 + off], int(d[off])))
+        assert got_set == want and len(want) > 10
 
 
 @pytest.mark.usefixtures("ray_session")

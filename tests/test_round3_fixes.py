@@ -347,31 +347,6 @@ def test_explain_matches_search_score(tmp_path):
                 assert np.float32(d["value"]) == expect
 
 
-def test_minhash_fused_equals_reduce_side_join(ray_session):
-    """The round-3 fused verify (broadcast pairs, one exchange) and the
-    prune_candidates=False reduce-side join escape produce the same
-    verified pair set with the same jaccard values."""
-    import ray.data as rd
-
-    from tantivy_ray.dedup import minhash_lsh_pairs
-
-    docs = []
-    base = ("the quick brown fox jumps over the lazy dog and then "
-            "runs far away into the deep dark forest tonight").split()
-    for i in range(30):
-        toks = list(base)
-        if i % 3 == 0:
-            toks[i % len(toks)] = f"mut{i}"   # near-dups of base
-        else:
-            toks = [f"w{i}_{j}" for j in range(18)]  # distinct docs
-        docs.append({"doc_id": i, "text": " ".join(toks)})
-    ds = rd.from_items(docs)
-    fused = minhash_lsh_pairs(ds, threshold=0.6, prune_candidates=True)
-    legacy = minhash_lsh_pairs(ds, threshold=0.6, prune_candidates=False)
-    assert fused.num_rows > 0
-    assert fused.to_pydict() == legacy.to_pydict()
-
-
 # ------------------------------------------------------------ RamDirectory
 
 

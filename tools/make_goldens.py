@@ -61,7 +61,8 @@ def golden_simhash_dups(sf_dir: str, max_distance: int = 10) -> pa.Table:
             ids.append(int(did))
             token_lists.append(toks)
     fps = np.concatenate([
-        hasher.fingerprints_batch(token_lists[i:i + 1000])
+        hasher.fingerprints_from_analyzed(pa.array(
+            token_lists[i:i + 1000], type=pa.list_(pa.string())))
         for i in range(0, len(token_lists), 1000)
     ]) if token_lists else np.empty(0, dtype=np.uint64)
     ids_np = np.asarray(ids, dtype=np.int64)

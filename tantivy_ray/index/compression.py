@@ -17,8 +17,9 @@ Differences (documented, results-equivalent):
 Encoding and decoding are batched: ``encode_postings_batch`` and
 ``decode_postings_batch`` process every block of many terms in one set of
 vectorized passes.  The segment build, the merge reducer and serving
-(a query chunk's terms, one call per segment) all use them;
-``TermPostingsReader`` is only block-max WAND's per-term block cursor.
+(a query chunk's terms, one call per segment) all use them.
+``TermPostingsReader`` is a zero-copy view of one term's blob: block-max
+WAND reads its skip section, and ``decode_block`` decodes one block.
 
 Per-term blob layout (little-endian):
     u32 doc_freq
@@ -372,9 +373,10 @@ def decode_postings_batch(
 
 
 class TermPostingsReader:
-    """Zero-copy block cursor over one term's encoded blob — block-max
-    WAND's reader (skip entries, block-max pairs, one block at a time);
-    whole posting lists decode through ``decode_postings_batch``."""
+    """Zero-copy view of one term's encoded blob: its skip entries and
+    block-max pairs (block-max WAND's bounds), and one block at a time
+    through ``decode_block``; whole posting lists decode through
+    ``decode_postings_batch``."""
 
     __slots__ = (
         "doc_freq", "n_blocks", "last_doc", "doc_bw", "tf_bw",

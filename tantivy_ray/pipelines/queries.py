@@ -276,9 +276,9 @@ AND_QUERIES = [
 
 
 def q_topk_bm25_and_wand(sf_dir: str) -> pa.Table:
-    """AND-conjunction top-k through block-max WAND intersection
-    (search/wand.py block_max_wand_intersection_topk) — hash-matched
-    against the same SQL scorer as the exhaustive path."""
+    """AND-conjunction top-k through the block-max WAND filter
+    (search/wand.py block_filter_topk) — hash-matched against the same
+    SQL scorer as the exhaustive path."""
     from .search_pipeline import search_pipeline
 
     idx = build_docs_index(sf_dir)

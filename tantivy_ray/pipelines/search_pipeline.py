@@ -75,7 +75,6 @@ def _run(index_dir: str, queries: List[Tuple], shards: List, doc_freqs,
          concurrency: int) -> pa.Table:
     """The (query x shard) product through one actor pool, gathered on
     the driver."""
-    import ray
     import ray.data as rd
 
     prod = rd.from_items([
@@ -96,7 +95,11 @@ def _run(index_dir: str, queries: List[Tuple], shards: List, doc_freqs,
         concurrency=concurrency,
         **remote_args(),
     )
-    return _gather(ray.get(res.to_arrow_refs()), queries, len(shards) > 1)
+    # iter_batches, not to_arrow_refs: the latter re-runs the plan with a
+    # limit of 1 to fetch the schema
+    return _gather(list(res.iter_batches(batch_size=None,
+                                         batch_format="pyarrow")),
+                   queries, len(shards) > 1)
 
 
 def parsed_search_pipeline(

@@ -1,8 +1,3 @@
 from .pool import SearcherPool  # noqa: F401
 from .reader import IndexReader, ReloadPolicy  # noqa: F401
-from .searcher import (  # noqa: F401
-    IndexSearcher,
-    SegmentSearcher,
-    merge_topk,
-)
-from .wand import block_max_wand_topk  # noqa: F401
+from .searcher import IndexSearcher, merge_topk  # noqa: F401

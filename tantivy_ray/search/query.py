@@ -427,7 +427,7 @@ def phrase_match_counts(reader: SegmentReader, terms: Sequence[str],
                                 assume_unique=True)
     if len(common) == 0:
         return common, np.empty(0, np.uint32)
-    if slop == 0 and len(terms) < 64 and hasattr(reader, "positions_flat"):
+    if slop == 0:
         return _phrase_exact_vectorized(reader, terms, post, common)
     pos_lists = [reader.positions(t) for t in terms]
     if any(p is None for p in pos_lists):
@@ -438,27 +438,17 @@ def phrase_match_counts(reader: SegmentReader, terms: Sequence[str],
     docs_out = []
     tfs_out = []
     for ci, doc in enumerate(common):
-        if slop == 0:
-            inter = pos_lists[0][idx[0][ci]].astype(np.int64)
+        starts = pos_lists[0][idx[0][ci]].astype(np.int64)
+        cnt = 0
+        for s in starts:
+            ok = True
             for ti in range(1, len(terms)):
-                inter = np.intersect1d(
-                    inter, pos_lists[ti][idx[ti][ci]].astype(np.int64) - ti,
-                    assume_unique=True)
-                if len(inter) == 0:
+                pl = pos_lists[ti][idx[ti][ci]].astype(np.int64)
+                if not ((np.abs(pl - (s + ti)) <= slop).any()):
+                    ok = False
                     break
-            cnt = len(inter)
-        else:
-            starts = pos_lists[0][idx[0][ci]].astype(np.int64)
-            cnt = 0
-            for s in starts:
-                ok = True
-                for ti in range(1, len(terms)):
-                    pl = pos_lists[ti][idx[ti][ci]].astype(np.int64)
-                    if not ((np.abs(pl - (s + ti)) <= slop).any()):
-                        ok = False
-                        break
-                if ok:
-                    cnt += 1
+            if ok:
+                cnt += 1
         if cnt:
             docs_out.append(doc)
             tfs_out.append(cnt)
@@ -470,7 +460,8 @@ def _phrase_exact_vectorized(reader: SegmentReader, terms, post,
                              common: np.ndarray) -> DocScores:
     """slop=0 phrase counting with NO per-doc python: each candidate
     doc's positions are tagged with a per-doc run id and packed into one
-    int64 key (run_id << 33 | pos + 64 - term_offset), so the per-doc
+    int64 key (run_id << 33 | pos + len(terms) - term_offset, never
+    negative whatever the phrase length), so the per-doc
     position intersections across all terms collapse into len(terms)-1
     whole-segment np.intersect1d calls; per-doc phrase tf is then a
     run-length count of the surviving keys' run ids.  Exactly equal to
@@ -492,7 +483,7 @@ def _phrase_exact_vectorized(reader: SegmentReader, terms, post,
                   - np.repeat(np.cumsum(lens) - lens, lens))
         pos = flat[run_first + within].astype(np.int64)
         run_id = np.repeat(np.arange(len(common), dtype=np.int64), lens)
-        keys = (run_id << 33) | (pos + 64 - ti)
+        keys = (run_id << 33) | (pos + len(terms) - ti)
         inter = keys if inter is None else np.intersect1d(
             inter, keys, assume_unique=True)
         if len(inter) == 0:

@@ -4,19 +4,19 @@ Mirrors the reference's read path (SURVEY §3.2): a Searcher is an immutable
 snapshot over SegmentReaders (/root/reference/src/core/searcher.rs); a query
 builds one Bm25Weight per term from GLOBAL statistics (doc_freq summed over
 all segments, total docs / tokens from the manifest —
-/root/reference/src/query/bm25.rs:27-50), scores each segment independently,
-and merges per-segment top-k with the collector's tie rule: score
+/root/reference/src/query/bm25.rs:27-50), scores the segments' concatenated
+doc space in one pass, and ranks with the collector's tie rule: score
 descending, then (segment_ord, doc_id) ascending; the heap uses strict `>`
 so the lowest DocAddress wins ties
 (/root/reference/src/collector/sort_key/mod.rs:20-35).
 
-Two scorer paths, rank-identical by construction and property-tested
-against each other (like the reference's proptest on block_wand —
-/root/reference/src/query/boolean_query/block_wand_union.rs:293-619):
-- exhaustive: fully vectorized numpy accumulation (fast for small/medium
-  doc_freq — the default here);
-- block-max WAND (wand.py): skips 128-doc blocks whose score bound cannot
-  beat the running threshold (the 10^12-doc scale path).
+One scorer, ``global_topk``: a candidate-sparse numpy accumulation over
+the searcher's concatenated doc space.  ``use_wand`` puts block-max WAND
+(wand.py) in front of it as a block filter: blocks whose score bound
+cannot reach the k-th score are dropped before scoring, and the results
+are identical to the unfiltered scorer (property-tested like the
+reference's proptest on block_wand —
+/root/reference/src/query/boolean_query/block_wand_union.rs:293-619).
 
 Score arithmetic is f32 end-to-end; per-doc sums add term contributions in
 term order (the reference's BufferedUnionScorer accumulates scorers in
@@ -26,6 +26,7 @@ order — src/query/union/buffered_union.rs:11-70).
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +35,7 @@ from ..analyzer import get_analyzer
 from ..bm25 import Bm25Weight, term_weights
 from ..index.manifest import IndexManifest, load_manifest
 from ..index.segment import SegmentReader, segment_dir_name
-from .wand import block_max_wand_intersection_topk, block_max_wand_topk
+from .wand import block_filter_topk, term_blocks
 
 TopHit = Tuple[float, int, int]  # (score_f32, segment_ord, doc_id)
 
@@ -64,9 +65,9 @@ def _sparse_accumulate(
 
     f32-exact vs that dense accumulator: each doc's contributions are
     added with sequential in-place f32 adds (``acc[idx] += sc``) in term
-    order — the same op order the dense path used (the technique proven in
-    search/wand.py).  ``np.add.reduceat`` is deliberately NOT used: it
-    accumulates in extended precision and breaks bit-exact parity by 1 ulp.
+    order — the same op order the dense path used.  ``np.add.reduceat``
+    is deliberately NOT used: it accumulates in extended precision and
+    breaks bit-exact parity by 1 ulp.
     """
     parts = [p for p in parts if len(p[0])]
     if not parts:
@@ -160,46 +161,6 @@ def global_topk(postings_of, terms: Sequence[str],
     return topk_hits(cand, scores, k, bases, ords)
 
 
-class SegmentSearcher:
-    """Per-segment block-max WAND scoring (the reference's per-segment
-    collect), through each term's ``TermPostingsReader`` block cursor."""
-
-    def __init__(self, reader: SegmentReader):
-        self.reader = reader
-
-    def topk(
-        self,
-        terms: Sequence[str],
-        weights: Sequence[Bm25Weight],
-        mode: str,
-        k: int,
-    ) -> List[TopHit]:
-        if mode == "and":
-            readers = [self.reader.postings_reader(t) for t in terms]
-            if any(r is None for r in readers):
-                return []  # a missing term empties the intersection
-            docs, scores = block_max_wand_intersection_topk(
-                readers, list(weights), self.reader.fieldnorm_ids, k,
-                alive_mask=self.reader.alive_mask,
-            )
-        else:
-            readers = []
-            ws = []
-            for term, w in zip(terms, weights):
-                r = self.reader.postings_reader(term)
-                if r is not None:
-                    readers.append(r)
-                    ws.append(w)
-            if not readers:
-                return []
-            docs, scores = block_max_wand_topk(
-                readers, ws, self.reader.fieldnorm_ids, k,
-                alive_mask=self.reader.alive_mask,
-            )
-        seg = self.reader.segment_ord
-        return [(float(s), seg, int(d)) for d, s in zip(docs, scores)]
-
-
 class IndexSearcher:
     """Snapshot searcher over a set of segments (all by default, or a shard).
 
@@ -217,21 +178,19 @@ class IndexSearcher:
             else list(segment_ords)
         )
         # ascending ords are a structural invariant: global_topk's
-        # tie-break (global doc order == DocAddress order) and the
-        # per-segment merge_topk path must agree on segment order
+        # tie-break needs global doc order == DocAddress order
         ords.sort()
         self.readers = [
             SegmentReader(os.path.join(index_dir, segment_dir_name(o)))
             for o in ords
         ]
-        self.searchers = [SegmentSearcher(r) for r in self.readers]
         self.total_num_docs = self.manifest.total_num_docs
         self.average_fieldnorm = np.float32(
             np.float32(self.manifest.total_num_tokens)
             / np.float32(max(1, self.manifest.total_num_docs))
         )
 
-    # --- global (cross-segment) view: used by the exhaustive fast path ---
+    # --- global (cross-segment) view: the doc space global_topk scores ---
     def _global_view(self):
         """Concatenated fieldnorms/alive + segment doc-id bases, built once.
 
@@ -320,20 +279,22 @@ class IndexSearcher:
         """A chunk of (terms, mode, k) queries → each query's global
         top-k; mode is "or", "and" or "phrase".
 
-        Every distinct term gets one weight, and the distinct terms of
-        the exhaustive or/and queries one decode per segment
-        (``_chunk_postings``); each query then scores on the global doc
-        space (``global_topk``).  ``use_wand`` runs or/and queries
-        through each segment's block-max WAND cursor instead, and
-        phrases go through the query evaluator.  ``doc_freqs``: global
-        stats for sharded evaluation (None = this searcher's own)."""
+        Every distinct term gets one weight and one decode per segment
+        (``_chunk_postings``); each or/and query then scores on the
+        global doc space (``global_topk``), behind the block-max filter
+        (``block_filter_topk``) when ``use_wand`` is set.  Phrases go
+        through the query evaluator.  ``doc_freqs``: global stats for
+        sharded evaluation (None = this searcher's own)."""
         from .query import PhraseQuery
 
         queries = [(list(t), str(m), int(k)) for t, m, k in queries]
         scored = [ts for ts, m, _ in queries if ts and m != "phrase"]
         distinct = list(dict.fromkeys(t for ts in scored for t in ts))
         weight = dict(zip(distinct, self.make_weights(distinct, doc_freqs)))
-        post = {} if use_wand else self._chunk_postings(distinct)
+        post = self._chunk_postings(distinct)
+        blocks = {t: term_blocks(self.readers, t, post[t][0],
+                                 self.average_fieldnorm)
+                  for t in post} if use_wand else {}
         df_of = None if doc_freqs is None else (
             lambda t: doc_freqs.get(t, 0))
         gv = self._global_view()
@@ -342,18 +303,18 @@ class IndexSearcher:
         for terms, mode, k in queries:
             if not terms:
                 out.append([])
-            elif mode == "phrase":
+                continue
+            if mode == "phrase":
                 out.append(self.search_query(PhraseQuery(terms), k,
                                              doc_freq_of=df_of))
-            elif use_wand:
-                ws = [weight[t] for t in terms]
-                out.append(merge_topk([h for s in self.searchers for h in
-                                       s.topk(terms, ws, mode, k)], k))
-            else:
-                out.append(global_topk(post.get, terms,
-                                       [weight[t] for t in terms], mode, k,
-                                       gv["fids"], gv["bases"], ords,
-                                       gv["alive"]))
+                continue
+            ws = [weight[t] for t in terms]
+            score = partial(global_topk, terms=terms, weights=ws, mode=mode,
+                            k=k, fids=gv["fids"], bases=gv["bases"],
+                            ords=ords, alive=gv["alive"])
+            out.append(block_filter_topk(score, post, blocks, terms, ws,
+                                         mode, k)
+                       if use_wand else score(post.get))
         return out
 
     def search_text(self, query: str, mode: str = "or", k: int = 10,

@@ -1,347 +1,153 @@
-"""Block-max WAND top-k — the pruning scale path, block-at-a-time.
+"""Block-max WAND as an exact block filter in front of the exhaustive scorer.
 
-Functional re-expression of the reference's block-max WAND
-(/root/reference/src/query/boolean_query/block_wand_union.rs — pivot/bound
-logic :16-43, multi scorer :148-216, single scorer :226-265) over our
-bitpacked block format: per 128-doc block the skip entry stores the
-(fieldnorm_id, tf) pair maximizing the segment-local tf factor, and the
-query-time bound scores that pair with the GLOBAL Bm25Weight
-(reference src/postings/serializer.rs:404-428, src/query/bm25.rs:184-186).
+Per 128-doc block the skip entry stores the (fieldnorm_id, tf) pair that
+maximizes the SEGMENT-LOCAL tf factor (reference
+src/postings/serializer.rs:404-428); the reference scores that pair with
+the query's weight as the block's bound (src/query/bm25.rs:184-186).
+Queries here score with the GLOBAL average fieldnorm, under which the
+stored pair need not be the block's best, so ``term_blocks`` widens it
+into a bound that holds under both averages.
 
-Where the reference advances document-at-a-time, we advance WINDOW-at-a-time
-(a window ends at the smallest current block boundary across terms): the
-union upper bound of a window is the sum of the overlapping blocks' bounds;
-windows that cannot strictly beat the running threshold are skipped without
-decoding; surviving windows are decoded and scored fully vectorized.  This
-is rank-identical — pruning only drops doc ranges whose bound <= threshold,
-and the collector's strict `>` makes equal-score later docs losers anyway
-(reference src/collector/sort_key/mod.rs:20-35) — and it keeps the Python
-layer O(#blocks), not O(#docs).
+Instead of a document- or window-at-a-time cursor (reference
+block_wand_union.rs), ``block_filter_topk`` prunes whole blocks in a few
+array passes and hands the surviving postings to the one exhaustive
+kernel, ``searcher.global_topk``:
 
-f32 identity with the exhaustive scorer: per-doc sums add term
-contributions in query-term order via a stable (doc, term_idx) sort +
-sequential in-place float32 adds per term (``acc[idx] += contrib``).
-Deliberately NOT ``np.add.reduceat``: reduceat accumulates in extended
-precision and breaks the bit-exact f32 invariant by 1 ulp.
+1. cut the doc space at every block edge; a piece's upper bound is the
+   f32 sum, in query-term order, of the bounds of the blocks covering it
+   (f32 addition is monotone and the exhaustive scorer adds the same
+   terms in the same order, so no doc scores above its piece's bound);
+2. each block's bound becomes the max over its pieces;
+3. θ is the k-th score over the highest-bound blocks — scoring any block
+   subset gives a lower bound on the true k-th score, and the best
+   blocks give one close to it;
+4. the final top-k scores every block whose bound is ≥ θ.
 
-Property-tested against the exhaustive scorer on random corpora, the same
-strategy as the reference's proptest (block_wand_union.rs:293-619).
+Every doc of the true top-k keeps all its postings, so its score is
+exact; any other doc scores at most its full score.  The result equals
+the exhaustive one, ties included (the property tests in
+tests/test_search.py hold it to that, as the reference's proptest does —
+block_wand_union.rs:293-619).
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..bm25 import Bm25Weight
-from ..index.compression import TermPostingsReader
+from ..bm25 import ONE, Bm25Weight, compute_tf_cache
+from ..index.compression import COMPRESSION_BLOCK_SIZE, gather_ranges
+from ..index.segment import SegmentReader
 
-_UMAX = np.iinfo(np.int64).max
+# The bound below is exact in real arithmetic; its f32 evaluation (the
+# cache entries, the divide by m, the weight product) and the scorer's own
+# f32 rounding can each move a value by a few ulps.  2^-18 is 64 ulps of
+# f32: far above that error, far below any score gap that matters.
+_ROUND_UP = np.float32(1.0 + 2.0 ** -18)
 
-
-class _TopK:
-    """k-best collector, reference heap semantics: strict `>` once full,
-    ties kept for the lowest (segment, doc)."""
-
-    __slots__ = ("k", "docs", "scores")
-
-    def __init__(self, k: int):
-        self.k = k
-        self.docs = np.empty(0, dtype=np.int64)
-        self.scores = np.empty(0, dtype=np.float32)
-
-    def threshold(self) -> float:
-        if len(self.docs) < self.k:
-            return float("-inf")
-        return float(self.scores[-1])
-
-    def offer_many(self, docs: np.ndarray, scores: np.ndarray) -> None:
-        """Merge candidates (any order) into the running top-k."""
-        if len(docs) == 0:
-            return
-        thr = self.threshold()
-        if thr != float("-inf"):
-            m = scores > thr
-            if not m.any():
-                return
-            docs, scores = docs[m], scores[m]
-        alld = np.concatenate([self.docs, docs.astype(np.int64)])
-        alls = np.concatenate([self.scores, scores.astype(np.float32)])
-        order = np.lexsort((alld, -alls))[: self.k]
-        self.docs = alld[order]
-        self.scores = alls[order]
-
-    def result(self) -> Tuple[np.ndarray, np.ndarray]:
-        return self.docs.astype(np.uint32), self.scores
+# (start, end, first doc, last doc, tf-factor bound) per block of one
+# term's global posting list
+Blocks = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def _block_bounds(reader: TermPostingsReader, weight: Bm25Weight) -> np.ndarray:
-    return weight.score(
-        np.asarray(reader.wand_fid, dtype=np.uint8),
-        np.asarray(reader.wand_tf, dtype=np.uint32),
-    )
+def term_blocks(readers: Sequence[SegmentReader], term: str,
+                docs: np.ndarray, avg_global: np.float32) -> Blocks:
+    """The blocks of ``term``'s global posting list ``docs`` (segments
+    concatenated in reader order), each with a bound on the tf factor of
+    its postings under the global average.
 
-
-def _single_term_topk(reader: TermPostingsReader, weight: Bm25Weight,
-                      fids: np.ndarray, k: int,
-                      alive_mask=None) -> Tuple[np.ndarray, np.ndarray]:
-    """Single-scorer fast path (reference block_wand_union.rs:226-265)."""
-    bounds = _block_bounds(reader, weight)
-    top = _TopK(k)
-    for b in range(reader.n_blocks):
-        if float(bounds[b]) <= top.threshold():
+    The cache is ``c = K1(1-B) + K1·B·L(f)/avg``, so with
+    ``m = min(1, avg_local/avg_global)`` every ``c_global ≥ m·c_local``
+    and each posting's global factor ``tf/(tf + c_global)`` is at most
+    ``min(1, φ_local/m)``, where ``φ_local`` is the factor of the block's
+    stored pair under the local cache.  A ``field\\x00term``'s pair was
+    picked under its field's own average, so it gets the trivial bound 1
+    (no tf factor reaches 1)."""
+    starts: List[np.ndarray] = []
+    factors: List[np.ndarray] = []
+    off = 0
+    for r in readers:
+        pr = r.postings_reader(term)
+        if pr is None:
             continue
-        docs, tfs = reader.decode_block(b)
-        if alive_mask is not None:
-            keep = alive_mask[docs]
-            docs, tfs = docs[keep], tfs[keep]
-            if len(docs) == 0:
-                continue
-        top.offer_many(docs, weight.score(fids[docs], tfs))
-    return top.result()
+        starts.append(off + COMPRESSION_BLOCK_SIZE
+                      * np.arange(pr.n_blocks, dtype=np.int64))
+        if "\x00" in term:
+            factors.append(np.ones(pr.n_blocks, dtype=np.float32))
+        else:
+            # the average segment.py chose the stored pairs under
+            avg_local = np.float32(r.num_tokens / max(1, r.num_docs))
+            m = min(ONE, np.float32(avg_local / avg_global))
+            tf = pr.wand_tf.astype(np.float32)
+            phi = tf / (tf + compute_tf_cache(avg_local)[pr.wand_fid])
+            factors.append(np.minimum(ONE, phi / m).astype(np.float32))
+        off += pr.doc_freq
+    start = np.concatenate(starts)
+    end = np.append(start[1:], off)
+    return start, end, docs[start], docs[end - 1], np.concatenate(factors)
 
 
-def block_max_wand_intersection_topk(
-    readers: Sequence[TermPostingsReader],
-    weights: Sequence[Bm25Weight],
-    fieldnorm_ids: np.ndarray,
-    k: int,
-    alive_mask=None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """AND-intersection top-k with block-max pruning → (docs, scores)
-    ordered (score desc, doc asc).
+def block_filter_topk(score: Callable, post: Dict[str, tuple],
+                      blocks: Dict[str, Blocks], terms: Sequence[str],
+                      weights: Sequence[Bm25Weight], mode: str, k: int):
+    """Top-k of an or/and query through the block filter.
 
-    Re-expression of the reference's intersection pruner
-    (/root/reference/src/query/boolean_query/block_wand_intersection.rs:19):
-    the rarest term leads and defines processing windows; a window whose
-    summed block maxes cannot beat the running threshold is skipped without
-    decoding; within surviving windows the leader's docs are batch-scored,
-    pre-filtered by (leader score + secondary block maxes), and only the
-    survivors pay the secondary membership probes.
+    ``score(postings_of)`` is the exhaustive scorer (``global_topk``
+    bound to this query) over a ``term → (docs, tfs)`` lookup; ``post``
+    holds each present term's global postings and ``blocks`` its
+    ``term_blocks``."""
+    distinct = [t for t in dict.fromkeys(terms) if t in post]
+    if not distinct or (mode == "and" and len(distinct) < len(set(terms))):
+        return []
+    span = {}  # term → its slice of the concatenated block arrays
+    n = 0
+    for t in distinct:
+        span[t] = slice(n, n + len(blocks[t][0]))
+        n = span[t].stop
+    start, end, first, last, factor = (
+        np.concatenate(a) for a in zip(*(blocks[t] for t in distinct)))
+    bound = np.empty(n, dtype=np.float32)
+    for t, w in zip(terms, weights):
+        if t in span:
+            bound[span[t]] = w.weight * factor[span[t]] * _ROUND_UP
 
-    f32-exact vs the exhaustive AND scorer: all bound sums AND the final
-    per-doc score sums run as sequential in-place f32 adds in QUERY-TERM
-    order (the exhaustive `_sparse_accumulate` op order) — f32 addition is
-    monotone, so a same-order sum of block maxes is a true upper bound of
-    every same-order doc score under it, making the pruning exact."""
-    if any(r is None or r.doc_freq == 0 for r in readers):
-        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32)
-    if len(readers) == 1:
-        return _single_term_topk(readers[0], weights[0], fieldnorm_ids, k,
-                                 alive_mask)
-    nt = len(readers)
-    bounds = [_block_bounds(r, w) for r, w in zip(readers, weights)]
-    n_blocks = [r.n_blocks for r in readers]
-    last_docs = [np.asarray(r.last_doc, dtype=np.int64) for r in readers]
-    leader = int(np.argmin([r.doc_freq for r in readers]))
-    # membership probes ordered rarest-first so the candidate set shrinks
-    # fastest (reference sorts scorers by size_hint)
-    secondaries = sorted((t for t in range(nt) if t != leader),
-                         key=lambda t: readers[t].doc_freq)
-    top = _TopK(k)
-    block_cache: dict = {}
+    # pieces: [edges[j], edges[j+1]); block b covers pieces [ps[b], pe[b])
+    edges = np.unique(np.concatenate([first, last + 1]))
+    ps = np.searchsorted(edges, first)
+    pe = np.searchsorted(edges, last + 1)
+    width = pe - ps
+    ub = np.zeros(len(edges), dtype=np.float32)  # last slot: a sentinel
+    cover = {t: gather_ranges(ps[span[t]], width[span[t]]) for t in distinct}
+    for t in terms:  # query-term order, as the exhaustive scorer adds
+        if t in cover:
+            # one term's blocks are disjoint: no index repeats
+            ub[cover[t]] += np.repeat(bound[span[t]], width[span[t]])
+    if mode == "and":
+        hits = np.zeros(len(edges), dtype=np.int64)
+        for t in terms:
+            hits[cover[t]] += 1
+        ub[hits < len(terms)] = -np.inf
+    ub[-1] = -np.inf
+    bmax = np.maximum.reduceat(ub, np.stack([ps, pe], axis=1).ravel())[::2]
 
-    def decode(t: int, b: int):
-        key = (t, b)
-        got = block_cache.get(key)
-        if got is None:
-            got = block_cache[key] = readers[t].decode_block(b)
-            block_cache.pop((t, b - 1), None)  # keep one block per term
-        return got
+    def topk_over(sel: np.ndarray):
+        sel = np.sort(sel)
+        trimmed = {}
+        for t in distinct:
+            b = sel[(sel >= span[t].start) & (sel < span[t].stop)]
+            idx = gather_ranges(start[b], end[b] - start[b])
+            trimmed[t] = (post[t][0][idx], post[t][1][idx])
+        return score(trimmed.get)
 
-    doc = 0
-    while True:
-        lb = int(np.searchsorted(last_docs[leader], doc))
-        if lb >= n_blocks[leader]:
-            break
-        cur = {leader: lb}
-        window_end = int(last_docs[leader][lb])
-        exhausted = False
-        for t in secondaries:
-            b = int(np.searchsorted(last_docs[t], doc))
-            if b >= n_blocks[t]:
-                exhausted = True
-                break
-            cur[t] = b
-            window_end = min(window_end, int(last_docs[t][b]))
-        if exhausted:
-            break
-
-        theta = top.threshold()
-        # window upper bound: block maxes summed in query-term order
-        ub = np.float32(0.0)
-        for t in range(nt):
-            ub = np.float32(ub + np.float32(bounds[t][cur[t]]))
-        if theta != float("-inf") and float(ub) <= theta:
-            doc = window_end + 1
-            continue
-
-        ldocs, ltfs = decode(leader, lb)
-        sel = (ldocs >= doc) & (ldocs <= window_end)
-        cdocs = ldocs[sel].astype(np.int64)
-        if len(cdocs) == 0:
-            doc = window_end + 1
-            continue
-        lsc = weights[leader].score(fieldnorm_ids[cdocs], ltfs[sel])
-
-        # per-candidate bound: leader's ACTUAL score + secondary block
-        # maxes, accumulated in query-term order (monotone ⇒ exact prune)
-        if theta != float("-inf"):
-            f = np.zeros(len(cdocs), dtype=np.float32)
-            for t in range(nt):
-                f += lsc if t == leader else np.float32(bounds[t][cur[t]])
-            keep = f > theta
-            if not keep.any():
-                doc = window_end + 1
-                continue
-            cdocs = cdocs[keep]
-
-        # intersection membership probes, rarest secondary first
-        tfs_by_term = {}
-        for t in secondaries:
-            sdocs, stfs = decode(t, cur[t])
-            pos = np.searchsorted(sdocs, cdocs)
-            pos_c = np.minimum(pos, len(sdocs) - 1)
-            ok = sdocs[pos_c].astype(np.int64) == cdocs
-            if not ok.all():
-                cdocs = cdocs[ok]
-                for t2 in tfs_by_term:
-                    tfs_by_term[t2] = tfs_by_term[t2][ok]
-                if len(cdocs) == 0:
-                    break
-                pos = pos[ok]
-            tfs_by_term[t] = stfs[pos]
-        if len(cdocs) == 0:
-            doc = window_end + 1
-            continue
-
-        # exact scores: same op shape as _sparse_accumulate (zeros + one
-        # in-place f32 add per term in query order)
-        fids = fieldnorm_ids[cdocs]
-        acc = np.zeros(len(cdocs), dtype=np.float32)
-        lpos = np.searchsorted(ldocs[sel].astype(np.int64), cdocs)
-        for t in range(nt):
-            tfs = ltfs[sel][lpos] if t == leader else tfs_by_term[t]
-            acc += weights[t].score(fids, tfs)
-        if alive_mask is not None:
-            keepa = alive_mask[cdocs]
-            cdocs, acc = cdocs[keepa], acc[keepa]
-        top.offer_many(cdocs, acc)
-        doc = window_end + 1
-
-    return top.result()
-
-
-def block_max_wand_topk(
-    readers: Sequence[TermPostingsReader],
-    weights: Sequence[Bm25Weight],
-    fieldnorm_ids: np.ndarray,
-    k: int,
-    alive_mask=None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """OR-union top-k with block-max pruning → (docs, scores) ordered
-    (score desc, doc asc)."""
-    pairs = [(r, w) for r, w in zip(readers, weights) if r.doc_freq > 0]
-    readers = [p[0] for p in pairs]
-    weights = [p[1] for p in pairs]
-    if not readers:
-        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.float32)
-    if len(readers) == 1:
-        return _single_term_topk(readers[0], weights[0], fieldnorm_ids, k,
-                                 alive_mask)
-
-    nt = len(readers)
-    bounds = [_block_bounds(r, w) for r, w in zip(readers, weights)]
-    n_blocks = [r.n_blocks for r in readers]
-    last_docs = [np.asarray(r.last_doc, dtype=np.int64) for r in readers]
-    cur = [0] * nt  # current block index per term (blocks before cur are done)
-    top = _TopK(k)
-
-    # scratch for pending decoded-but-unscored postings per term
-    pend_docs: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * nt
-    pend_scores: List[np.ndarray] = [np.empty(0, dtype=np.float32)] * nt
-
-    while True:
-        # window = smallest current block end across live terms
-        window_end = _UMAX
-        for t in range(nt):
-            if cur[t] < n_blocks[t]:
-                window_end = min(window_end, int(last_docs[t][cur[t]]))
-        if window_end == _UMAX and all(len(p) == 0 for p in pend_docs):
-            break
-
-        theta = top.threshold()
-        # union upper bound over the window: per term, the max of its
-        # pending-score maximum AND its overlapping block's bound — a doc
-        # in the window may sit in EITHER region, so either alone
-        # underestimates and would prune wrongly
-        ub = np.float32(0.0)
-        for t in range(nt):
-            contrib = np.float32(0.0)
-            if len(pend_docs[t]) and int(pend_docs[t][0]) <= window_end:
-                contrib = np.float32(pend_scores[t].max())
-            if cur[t] < n_blocks[t]:
-                start_lb = int(last_docs[t][cur[t] - 1]) + 1 if cur[t] > 0 else 0
-                if start_lb <= window_end:
-                    contrib = max(contrib, np.float32(bounds[t][cur[t]]))
-            ub = np.float32(ub + contrib)
-
-        if float(ub) <= theta and theta != float("-inf"):
-            # Skip the window without decoding: drop pending postings in
-            # it and advance blocks fully contained. (Straddling blocks
-            # are not advanced; if decoded later their already-skipped
-            # range yields partial sums <= the full-score bound <= theta,
-            # which offer_many rejects — pruning stays exact.)
-            for t in range(nt):
-                if len(pend_docs[t]):
-                    keep = pend_docs[t] > window_end
-                    pend_docs[t] = pend_docs[t][keep]
-                    pend_scores[t] = pend_scores[t][keep]
-                if cur[t] < n_blocks[t] and int(last_docs[t][cur[t]]) <= window_end:
-                    cur[t] += 1
-            continue
-
-        # decode + score every term's postings in [.., window_end]; blocks
-        # merely straddling the window are decoded too (their in-window
-        # docs must be summed this round) with the tail kept pending
-        cand_docs: List[np.ndarray] = []
-        cand_scores: List[np.ndarray] = []
-        for t in range(nt):
-            docs = pend_docs[t]
-            sc = pend_scores[t]
-            if cur[t] < n_blocks[t]:
-                start_lb = int(last_docs[t][cur[t] - 1]) + 1 if cur[t] > 0 else 0
-                if start_lb <= window_end:
-                    bdocs, btfs = readers[t].decode_block(cur[t])
-                    cur[t] += 1
-                    bsc = weights[t].score(fieldnorm_ids[bdocs], btfs)
-                    docs = np.concatenate([docs, bdocs.astype(np.int64)])
-                    sc = np.concatenate([sc, bsc])
-            if len(docs) == 0:
-                pend_docs[t] = docs
-                pend_scores[t] = sc
-                continue
-            take = docs <= window_end
-            pend_docs[t] = docs[~take]
-            pend_scores[t] = sc[~take]
-            docs, sc = docs[take], sc[take]
-            if len(docs):
-                cand_docs.append(docs)
-                cand_scores.append(sc)
-
-        if not cand_docs:
-            continue
-        # sum per doc in query-term order with stepwise f32 in-place adds —
-        # bit-identical to the exhaustive accumulator (np.add.reduceat is
-        # NOT usable here: it accumulates in extended precision)
-        u = np.unique(np.concatenate(cand_docs))
-        acc = np.zeros(len(u), dtype=np.float32)
-        for docs, sc in zip(cand_docs, cand_scores):  # cand is in term order
-            acc[np.searchsorted(u, docs)] += sc
-        if alive_mask is not None:
-            keep = alive_mask[u]
-            u, acc = u[keep], acc[keep]
-        top.offer_many(u, acc)
-
-    return top.result()
+    # the probe: the highest-bound blocks, at least k of them (one block
+    # holds one near-max doc, so fewer give a θ far below the k-th score)
+    # and at least k·len(terms) postings
+    order = np.argsort(-bmax, kind="stable")
+    need = max(k, np.searchsorted(np.cumsum((end - start)[order]),
+                                  k * len(terms)) + 1)
+    if need >= n:
+        return topk_over(order)
+    probe = topk_over(order[:need])
+    theta = probe[k - 1][0] if len(probe) >= k else -np.inf
+    return topk_over(np.flatnonzero((bmax >= theta) & np.isfinite(bmax)))

@@ -815,9 +815,10 @@ class TestChunkSearch:
         s = IndexSearcher(index)
         chunk = _query_chunk(s, 500, seed=8)
         want = s.search_many(chunk)
-        calls, cursors = [], []
+        calls, cursors, blocks = [], [], []
         real_decode = compression.decode_postings_batch
         real_init = compression.TermPostingsReader.__init__
+        real_block = compression.TermPostingsReader.decode_block
 
         def decode(buf, offsets):
             calls.append(len(offsets))
@@ -827,20 +828,31 @@ class TestChunkSearch:
             cursors.append(1)
             real_init(self, buf)
 
+        def decode_block(self, b):
+            blocks.append(b)
+            return real_block(self, b)
+
         monkeypatch.setattr(segment_mod, "decode_postings_batch", decode)
         monkeypatch.setattr(compression.TermPostingsReader, "__init__", init)
-        fresh = IndexSearcher(index)
-        assert fresh.search_many(chunk, use_wand=False) == want
-        assert len(calls) == len(fresh.readers) == 3
-        distinct = {t for ts, m, _ in chunk for t in ts}
-        assert sum(calls) == sum(r.term_ord(t) is not None
-                                 for r in fresh.readers for t in distinct)
-        assert cursors == []
-        # terms already in the searcher's cache are not decoded again
-        assert fresh.search_many(chunk[:5]) == want[:5]
-        calls.clear()
-        assert fresh.search_many(chunk[:5]) == want[:5]
-        assert calls == []
+        monkeypatch.setattr(compression.TermPostingsReader, "decode_block",
+                            decode_block)
+        for use_wand in (False, True):
+            calls.clear()
+            fresh = IndexSearcher(index)
+            assert fresh.search_many(chunk, use_wand=use_wand) == want
+            assert len(calls) == len(fresh.readers) == 3
+            distinct = {t for ts, m, _ in chunk for t in ts}
+            assert sum(calls) == sum(r.term_ord(t) is not None
+                                     for r in fresh.readers
+                                     for t in distinct)
+            # WAND reads its blocks' skip views; no block decodes alone
+            assert blocks == []
+            assert (cursors != []) == use_wand
+            # terms already in the searcher's cache are not decoded again
+            assert fresh.search_many(chunk[:5], use_wand=use_wand) == want[:5]
+            calls.clear()
+            assert fresh.search_many(chunk[:5], use_wand=use_wand) == want[:5]
+            assert calls == []
 
     def test_wand_chunk_matches_exhaustive(self, index):
         from tantivy_ray.search import IndexSearcher

@@ -291,19 +291,33 @@ class TestCrossSegmentQueryDispatch:
         assert s._flat_bool_terms(
             BooleanQuery(must=[PhraseQuery(["quick", "brown"])])) is None
 
-    def test_phrase_vectorized_matches_loop(self, many_seg_ix):
+    def test_phrase_vectorized_matches_loop(self, many_seg_ix, tmp_path):
         """The keyed-intersection phrase kernel == the per-doc loop it
-        replaced, across every segment and phrase length."""
+        replaced, across every segment and phrase length, up to a 70-term
+        phrase over 140-token docs."""
         import numpy as np
 
+        from tantivy_ray.index.segment import (SegmentReader,
+                                               build_segment_from_table,
+                                               segment_dir_name)
         from tantivy_ray.search.query import (_phrase_exact_vectorized,
                                               phrase_match_counts)
 
         s = IndexSearcher(many_seg_ix)
+        words = ["fox", "dog", "quick", "brown", "lazy", "jump", "run"]
+        long_phrase = [words[i % 7] for i in range(70)]
+        broken = long_phrase[:40] + ["eat"] + long_phrase[41:]
+        texts = [" ".join(long_phrase * 2), " ".join(broken + long_phrase),
+                 " ".join(np.random.default_rng(4).choice(words, 140))]
+        build_segment_from_table(
+            pa.table({"url": ["a", "b", "c"], "text": texts}), 0,
+            str(tmp_path), record_positions=True)
+        long_reader = SegmentReader(str(tmp_path / segment_dir_name(0)))
+        assert phrase_match_counts(long_reader, long_phrase)[1].sum() > 0
         phrases = [["quick", "brown"], ["lazy", "dog"],
                    ["fox", "fox"], ["run", "walk", "sleep"],
-                   ["dog"]]
-        for r in s.readers:
+                   ["dog"], long_phrase]
+        for r in s.readers + [long_reader]:
             for terms in phrases:
                 post = [r.postings(t) for t in terms]
                 if any(p is None for p in post):

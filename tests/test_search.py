@@ -238,3 +238,65 @@ class TestIntersectionWandProperty:
         for k in (1, 3, 10, 50):
             assert (s.search(["alpha", "beta"], "and", k, use_wand=True)
                     == s.search(["alpha", "beta"], "and", k))
+
+
+class TestWandSkewedSegments:
+    """WAND vs exhaustive on indexes whose segment-local average fieldnorms
+    are far from the global one: a segment of 1-3-token docs next to a
+    segment of 60-250-token docs.  Each stored block-max pair was chosen
+    under its segment's own average, but queries score it under the global
+    average, so the query-time block bound must hold under both."""
+
+    @staticmethod
+    def _searcher(tmp_path, seed):
+        rs = np.random.RandomState(seed)
+        vocab = [f"w{i}" for i in range(20)]
+        zipf_p = 1.0 / np.arange(1, 21)
+        zipf_p /= zipf_p.sum()
+        corpus = [
+            [" ".join(rs.choice(vocab, size=rs.randint(lo, hi + 1),
+                                p=zipf_p))
+             for _ in range(rs.randint(200, 600))]
+            for lo, hi in ((1, 3), (60, 250))
+        ]
+        return rs, vocab, IndexSearcher(build_test_index(tmp_path, corpus))
+
+    @pytest.mark.parametrize("mode", ["or", "and"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_queries(self, tmp_path, seed, mode):
+        rs, vocab, s = self._searcher(tmp_path, seed)
+        for qn in range(60):
+            terms = list(rs.choice(vocab, size=rs.randint(1, 4),
+                                   replace=False))
+            k = int(rs.randint(1, 15))
+            assert (s.search(terms, mode, k, use_wand=True)
+                    == s.search(terms, mode, k)), (seed, qn, terms, k)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_block_bounds_hold(self, tmp_path, seed):
+        """Every block's bound is at least the best global score of its
+        postings."""
+        from tantivy_ray.search.wand import _ROUND_UP, term_blocks
+
+        _, vocab, s = self._searcher(tmp_path, seed)
+        gv = s._global_view()
+        post = s._chunk_postings(vocab)
+        n_blocks = 0
+        for t, w in zip(vocab, s.make_weights(vocab)):
+            if t not in post:
+                continue
+            docs, tfs = post[t]
+            start, _, _, _, factor = term_blocks(s.readers, t, docs,
+                                                 s.average_fieldnorm)
+            best = np.maximum.reduceat(w.score(gv["fids"][docs], tfs), start)
+            assert (w.weight * factor * _ROUND_UP >= best).all(), t
+            n_blocks += len(start)
+        assert n_blocks > 50
+
+    def test_short_segment_top_hit(self, tmp_path):
+        """Seed 5, ["w0"], k=4: the top hit sits in a block whose
+        segment-local bound is below its global score."""
+        _, _, s = self._searcher(tmp_path, 5)
+        exh = s.search(["w0"], "or", 4)
+        assert s.search(["w0"], "or", 4, use_wand=True) == exh
+        assert s.search(["w0"], "and", 4, use_wand=True) == exh

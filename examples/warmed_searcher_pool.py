@@ -4,7 +4,9 @@
 preserved at merge, src/indexer/merger.rs).
 
 Builds a small positions-enabled index, serves term queries through a
-SearcherPool (batches reuse the same warm actors), runs the wide
+SearcherPool (batches reuse the same warm actors, each over the compiled
+channel ``warm()`` opens to it; ``close()`` tears the channels down and
+frees the actors), runs the wide
 groupby-term merge, and then answers a PhraseQuery from the MERGED
 output — identical hits to the source-segment searcher."""
 
@@ -42,7 +44,8 @@ def main():
             t, seg, idx, record_positions=True))
     write_manifest(idx, IndexManifest(record_positions=True, segments=metas))
 
-    # --- persistent pool: index opened once per replica, many batches ---
+    # --- persistent pool: index opened once per replica, many batches,
+    # each over the replica's compiled channel ---
     pool = SearcherPool(idx, size=2)
     pool.warm()
     queries = [(0, ["old", "man"], "or", 3), (1, ["sea"], "or", 5),

@@ -113,11 +113,24 @@ def term_weights(terms: Sequence[str], doc_freqs: Mapping[str, int],
                  boosts: Optional[Sequence[float]] = None
                  ) -> List[Bm25Weight]:
     """One weight per term from a {term: doc_freq} map; a term missing
-    from the map (or with df 0) is weighted as df 1."""
+    from the map (or with df 0) is weighted as df 1.
+
+    Every idf is computed in one f32 vector pass, bit-equal to scalar
+    ``idf``: ``N - n`` is taken in integers before the f32 cast, as
+    there."""
+    n = np.array([max(doc_freqs.get(t, 0), 1) for t in terms], np.int64)
+    if (n > total_num_docs).any():
+        raise ValueError(f"doc_count {total_num_docs} < doc_freq {n.max()}")
+    half = np.float32(0.5)
+    x = ((total_num_docs - n).astype(np.float32) + half) / (
+        n.astype(np.float32) + half)
+    weights = np.log(ONE + x, dtype=np.float32) * (ONE + K1)
+    avg = np.float32(avg_fieldnorm)
+    cache = compute_tf_cache(avg)
     ws = []
-    for i, t in enumerate(terms):
-        w = Bm25Weight.for_one_term(max(doc_freqs.get(t, 0), 1),
-                                    total_num_docs, avg_fieldnorm)
+    for i, weight in enumerate(weights.tolist()):
+        w = Bm25Weight.__new__(Bm25Weight)
+        w.weight, w.cache, w.average_fieldnorm = np.float32(weight), cache, avg
         if boosts is not None and boosts[i] != 1.0:
             w = w.boost_by(boosts[i])
         ws.append(w)

@@ -17,17 +17,19 @@ state at hundreds of shards.
 - ``num_shards>1`` (scatter-gather): global BM25 stats come from a
   df-lookup pass over the shards' term dicts (``global_doc_freqs``), so
   scores are identical to one shard, and the driver merges per-query
-  top-k with the collector tie rule (``_merge_topk_table``, the
-  merge_fruits step of reference src/collector/mod.rs:167-180).
+  top-k with the collector tie rule (``_merge_topk``, the merge_fruits
+  step of reference src/collector/mod.rs:167-180).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
 
+import numpy as np
 import pyarrow as pa
 
-from ..search.pool import _gather, _SearcherHost, _shard_ords
+from ..search.pool import (_columns, _gather, _SearcherHost, _shard_ords,
+                           _table)
 from ..search.searcher import IndexSearcher
 from ..utils import remote_args
 
@@ -38,7 +40,8 @@ _MAX_OPEN_SHARDS = 2
 
 class _ShardHosts:
     """map_batches callable: each row of a batch names its shard; the
-    rows of one shard go to that shard's ``_SearcherHost`` as one chunk."""
+    rows of one shard go to that shard's ``_SearcherHost`` as one chunk,
+    and the hosts' hit columns come back as one Arrow table."""
 
     def __init__(self, index_dir: str, shards: List, doc_freqs,
                  use_wand: bool, method: str, columns: List[str]):
@@ -65,9 +68,10 @@ class _ShardHosts:
         by_shard: Dict[int, list] = {}
         for shard, row in zip(batch.column("shard").to_pylist(), rows):
             by_shard.setdefault(shard, []).append(row)
-        return pa.concat_tables([
-            getattr(self._host(shard), self.method)(chunk, self.doc_freqs)
-            for shard, chunk in by_shard.items()])
+        parts = [getattr(self._host(shard), self.method)(chunk,
+                                                         self.doc_freqs)
+                 for shard, chunk in by_shard.items()]
+        return _table(tuple(np.concatenate(c) for c in zip(*parts)))
 
 
 def _run(index_dir: str, queries: List[Tuple], shards: List, doc_freqs,
@@ -97,9 +101,8 @@ def _run(index_dir: str, queries: List[Tuple], shards: List, doc_freqs,
     )
     # iter_batches, not to_arrow_refs: the latter re-runs the plan with a
     # limit of 1 to fetch the schema
-    return _gather(list(res.iter_batches(batch_size=None,
-                                         batch_format="pyarrow")),
-                   queries, len(shards) > 1)
+    return _gather([_columns(t) for t in res.iter_batches(
+        batch_size=None, batch_format="pyarrow")], queries, len(shards) > 1)
 
 
 def parsed_search_pipeline(

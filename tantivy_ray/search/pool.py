@@ -7,32 +7,49 @@ src/core/executor.rs:32-37): the index is opened once and query batches
 arrive repeatedly.
 
 ``_SearcherHost`` is the one per-chunk scoring core.  A chunk of term
-queries or of raw query strings goes in, one ranked Arrow table comes
-out.  A term chunk is scored as one ``IndexSearcher.search_many`` call:
-its uncached distinct terms decode once per segment, in one batch.
-Two callers drive it:
-- ``SearcherPool`` (here): plain Ray actors that outlive a pipeline
-  execution — ``size`` replicas of the full index, or replicas of
-  segment shards.  ``search_batch`` chunks the query list across them.
+queries or of raw query strings goes in, the ranked hits come out as
+five numpy columns (``_HIT_SCHEMA`` order).  A term chunk is scored as
+one ``IndexSearcher.search_many`` call: its uncached distinct terms
+decode once per segment, in one batch.  Two callers drive it:
+- ``SearcherPool`` (here): Ray actors that outlive a pipeline execution
+  — ``size`` replicas of the full index, or replicas of segment shards.
+  Each replica serves over one Ray Compiled Graph channel
+  (``ray.dag``), compiled once when the pool warms: every scoring call
+  — one-query calls, large batches, and the sharded df and score
+  rounds — is an ``execute`` on it, about a quarter of a plain actor
+  call's round trip.  ``search_batch`` chunks the query list across
+  the replicas.
 - ``search_pipeline`` / ``parsed_search_pipeline``
   (pipelines/search_pipeline.py): a Ray Data ``map_batches`` class that
-  holds hosts for the length of one pipeline execution.
+  holds hosts for the length of one pipeline execution and wraps their
+  columns as Arrow tables.
 
-Both gather the same way (``_gather``): with one shard every query's
-rows come back ranked from one host, so the driver only sorts (and
-skips even that when one host table holds a batch of strictly
-increasing query ids); with several, ``_merge_topk_table`` merges the
-per-shard top-k.
+Both gather the same way (``_gather``): the hosts' columns are
+concatenated on the driver — a copy, so no result points into a
+channel's buffer — into one table.  With one shard every query's rows
+come back ranked from one host, so the driver only sorts (and skips
+even that when the rows already arrive in (query_id, rank) order);
+with several, ``_merge_topk`` merges the per-shard top-k.
 """
 
 from __future__ import annotations
 
+import logging
+import time
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 import pyarrow as pa
 
 from ..utils import remote_args
+
+# (query_id, rank, score, segment_ord, doc_id) numpy columns of ranked hits
+Columns = Tuple[np.ndarray, ...]
+
+_HIT_SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int32()),
+                         ("score", pa.float32()),
+                         ("segment_ord", pa.int32()),
+                         ("doc_id", pa.int64())])
 
 
 def _shard_ords(manifest, num_shards: int) -> List[List[int]]:
@@ -66,6 +83,12 @@ class _SearcherHost:
         self.searcher._global_view()
         return True
 
+    def call(self, request: Tuple[str, tuple]):
+        """The channel's one entry: ``(method name, args)`` → that
+        method's result."""
+        method, args = request
+        return getattr(self, method)(*args)
+
     def doc_freqs(self, terms: List[str]):
         """Shard-local doc freqs (the sharded pool sums them globally)."""
         return self.searcher.doc_freqs(terms)
@@ -92,7 +115,7 @@ class _SearcherHost:
         return {t: self.searcher.doc_freq(t) for t in terms}
 
     def search_chunk(self, chunk: List[Tuple[int, List[str], str, int]],
-                     doc_freqs=None) -> pa.Table:
+                     doc_freqs=None) -> Columns:
         """(query_id, terms, mode, k) rows, scored as one
         ``IndexSearcher.search_many`` chunk; ``doc_freqs``: global stats
         map for sharded evaluation (None = this searcher's own)."""
@@ -100,7 +123,7 @@ class _SearcherHost:
             [q[1:] for q in chunk], doc_freqs, self.use_wand))
 
     def search_parsed_chunk(self, chunk: List[Tuple[int, str, int]],
-                            doc_freqs=None) -> pa.Table:
+                            doc_freqs=None) -> Columns:
         """(query_id, query_string, k) rows through the full QueryParser
         grammar (bool trees, phrases, fuzzy/regex automata, ranges,
         boosts)."""
@@ -108,31 +131,43 @@ class _SearcherHost:
         return self._ranked(chunk, [self.searcher.search_query(
             self._parse(q[1]), int(q[2]), doc_freq_of=df_of) for q in chunk])
 
-    def _ranked(self, chunk, hits) -> pa.Table:
-        """The ranked hit table of the chunk's per-query ``hits``: each
-        column is built as a numpy array, then wrapped as Arrow."""
+    def _ranked(self, chunk, hits) -> Columns:
+        """The hit columns of the chunk's per-query ``hits``: each
+        query's rows in rank order, the queries in chunk order."""
         self.chunks_served += 1
         lens = np.fromiter(map(len, hits), np.int64, len(hits))
         flat = [h for hs in hits for h in hs]
         if not flat:
-            return _empty_result()
+            return _empty_columns()
         score, seg, doc = zip(*flat)
         starts = np.cumsum(lens) - lens
-        cols = (np.repeat(np.array([q[0] for q in chunk], np.int64), lens),
+        return (np.repeat(np.array([q[0] for q in chunk], np.int64), lens),
                 (np.arange(len(flat)) - np.repeat(starts, lens)
                  ).astype(np.int32),
                 np.array(score, np.float32),
                 np.array(seg, np.int32),
                 np.array(doc, np.int64))
-        return pa.Table.from_arrays([pa.array(c) for c in cols],
-                                    schema=_HIT_SCHEMA)
 
 
 def _df_of(doc_freqs):
     return None if doc_freqs is None else (lambda t: doc_freqs.get(t, 0))
 
 
-def _merge_topk_table(tbl: pa.Table, queries) -> pa.Table:
+def _columns(tbl: pa.Table) -> Columns:
+    """A hit table's columns as numpy (``_HIT_SCHEMA`` order)."""
+    return tuple(tbl.column(f.name).to_numpy() for f in _HIT_SCHEMA)
+
+
+def _empty_columns() -> Columns:
+    return _columns(_HIT_SCHEMA.empty_table())
+
+
+def _table(cols: Columns) -> pa.Table:
+    return pa.Table.from_arrays([pa.array(c, f.type) for c, f in zip(
+        cols, _HIT_SCHEMA)], schema=_HIT_SCHEMA)
+
+
+def _merge_topk(cols: Columns, queries) -> Columns:
     """Vectorized merge_fruits over the concatenated shard partials
     (``queries`` rows may be term 4-tuples or parsed 3-tuples — only
     the leading query_id and trailing k are read):
@@ -141,11 +176,8 @@ def _merge_topk_table(tbl: pa.Table, queries) -> pa.Table:
     (reference src/collector/mod.rs:167-180) — then a run-length rank
     and per-query k truncation.  No per-hit Python; a 10^5-query batch
     merges in milliseconds on the driver."""
-    qid = tbl.column("query_id").to_numpy().astype(np.int64, copy=False)
-    score = tbl.column("score").to_numpy()  # f32 — negation is exact
-    seg = tbl.column("segment_ord").to_numpy()
-    doc = tbl.column("doc_id").to_numpy()
-    order = np.lexsort((doc, seg, -score, qid))
+    qid, _, score, seg, doc = cols
+    order = np.lexsort((doc, seg, -score, qid))  # f32 negation is exact
     sq, ss, sg, sd = qid[order], score[order], seg[order], doc[order]
     n = len(sq)
     change = np.empty(n, dtype=bool)
@@ -157,43 +189,27 @@ def _merge_topk_table(tbl: pa.Table, queries) -> pa.Table:
     k_qids = np.array([q for q, _ in ks], dtype=np.int64)
     k_vals = np.array([k for _, k in ks], dtype=np.int64)
     keep = rank < k_vals[np.searchsorted(k_qids, sq)]
-    return pa.table({
-        "query_id": pa.array(sq[keep], type=pa.int64()),
-        "rank": pa.array(rank[keep].astype(np.int32), type=pa.int32()),
-        "score": pa.array(ss[keep], type=pa.float32()),
-        "segment_ord": pa.array(sg[keep].astype(np.int32),
-                                type=pa.int32()),
-        "doc_id": pa.array(sd[keep].astype(np.int64), type=pa.int64()),
-    })
+    return sq[keep], rank[keep], ss[keep], sg[keep], sd[keep]
 
 
-_HIT_SCHEMA = pa.schema([("query_id", pa.int64()), ("rank", pa.int32()),
-                         ("score", pa.float32()),
-                         ("segment_ord", pa.int32()),
-                         ("doc_id", pa.int64())])
+def _gather(parts: Sequence[Columns], queries, sharded: bool) -> pa.Table:
+    """Host hit columns → one table ranked per query_id.
 
-
-def _empty_result() -> pa.Table:
-    return _HIT_SCHEMA.empty_table()
-
-
-def _gather(tables: Sequence[pa.Table], queries, sharded: bool) -> pa.Table:
-    """Host result tables → one table ranked per query_id: top-k merged
-    across shards; otherwise each query came from one host and the
-    tables are sorted by (query_id, rank) — unless one table holds every
-    hit and the batch's query ids strictly increase, when the host
-    already emitted that order (each query's rows in rank order, the
-    queries in batch order) and the sort is skipped."""
-    tables = [t for t in tables if t.num_rows]
-    if not tables:
-        return _empty_result()
+    ``np.concatenate`` copies every column, so the table owns its
+    memory even when a part is a read-only view into a replica's
+    channel buffer.  With several shards the per-shard top-k are
+    merged; otherwise each query came from one host and the rows are
+    sorted by (query_id, rank), unless they already arrive in that
+    order (one host, query ids increasing)."""
+    cols = tuple(np.concatenate(c) for c in zip(_empty_columns(), *parts))
     if sharded:
-        return _merge_topk_table(pa.concat_tables(tables), queries)
-    qids = np.fromiter((q[0] for q in queries), np.int64, len(queries))
-    if len(tables) == 1 and (qids[1:] > qids[:-1]).all():
-        return tables[0]
-    return pa.concat_tables(tables).sort_by(
-        [("query_id", "ascending"), ("rank", "ascending")])
+        return _table(_merge_topk(cols, queries) if len(cols[0]) else cols)
+    qid, rank = cols[0], cols[1]
+    d = np.diff(qid)
+    if not ((d > 0) | ((d == 0) & (np.diff(rank) >= 0))).all():
+        order = np.lexsort((rank, qid))
+        cols = tuple(c[order] for c in cols)
+    return _table(cols)
 
 
 class SearcherPool:
@@ -207,7 +223,11 @@ class SearcherPool:
     runs two rounds: shard-local doc freqs are summed into exact global
     stats, every shard scores every query with those stats, and the
     driver merges per-query top-k with the collector tie rule —
-    f32/rank-identical to a full-index replica."""
+    f32/rank-identical to a full-index replica.
+
+    Every scoring call goes over the replica's compiled channel
+    (``_call``); ``actors`` stay plain actor handles, for ``served()``
+    and ``ray.kill``."""
 
     def __init__(self, index_dir: str, size: int = 4,
                  use_wand: bool = False, num_cpus: float = 1.0,
@@ -224,20 +244,85 @@ class SearcherPool:
             shards = _shard_ords(load_manifest(index_dir), num_shards)
         self.num_shards = len(shards)
         replicas = max(1, size // max(1, len(shards)))
-        # _groups[si] = shard si's replicas (the same count for every shard)
-        self._groups = [[host.remote(index_dir, use_wand, shard)
-                         for _ in range(replicas)] for shard in shards]
-        self.actors = [a for g in self._groups for a in g]
+        self.actors = [host.remote(index_dir, use_wand, shard)
+                       for shard in shards for _ in range(replicas)]
+        # _groups[si] = the actor indices of shard si's replicas
+        self._groups = [list(range(si * replicas, (si + 1) * replicas))
+                        for si in range(len(shards))]
         self.size = len(self.actors)
+        self._channels: dict = {}   # actor index → its compiled channel
         self._df_cache: dict = {}
 
     def warm(self) -> None:
-        """Block until every replica has opened its index."""
+        """Block until every replica has opened its index, then compile
+        the replicas' channels."""
         import ray
 
         ray.get([a.ready.remote() for a in self.actors])
+        self._compile(range(self.size))
 
-    def _one_actor_per_shard(self) -> List:
+    def _compile(self, replicas) -> None:
+        """One compiled channel for each of ``replicas`` that has none:
+        ``_SearcherHost.call`` bound to the channel's input.  The pool
+        keeps at most one call in flight on a channel, so the channel
+        gets one shared-memory buffer each way (Ray's default of 10 maps
+        10 MB more into the driver per replica)."""
+        from ray.dag import InputNode
+
+        cold = [i for i in replicas if i not in self._channels]
+        if not cold:
+            return
+        t0 = time.perf_counter()
+        for i in cold:
+            with InputNode() as request:
+                dag = self.actors[i].call.bind(request)
+            self._channels[i] = dag.experimental_compile(
+                _max_inflight_executions=1)
+        logging.getLogger(__name__).info(
+            "searcher pool: compiled %d replica channel(s) in %.1f ms",
+            len(cold), (time.perf_counter() - t0) * 1e3)
+
+    def _call(self, requests: List[Tuple[int, tuple]]) -> list:
+        """``(replica, (method, args))`` requests → their results, in
+        order; every request is in flight before the first read.
+
+        Reads wait without a cap (``timeout=-1``): a long batch must not
+        hit the channel's default read timeout.  Every result is read
+        before the first error is raised, so no channel is left holding
+        an unread one.  A result may be a read-only view into the
+        channel's buffer; callers copy it out (``_gather``) before the
+        replica's next call."""
+        import ray
+        from ray.exceptions import RayChannelError
+
+        self._compile(sorted({i for i, _ in requests}))
+        refs, error, dead = [], None, None
+        for i, request in requests:
+            try:
+                refs.append(self._channels[i].execute(request))
+            except RayChannelError as e:
+                # a dead replica's channel is closed
+                error, dead = e, i
+                break
+        results = []
+        for ref in refs:
+            try:
+                results.append(ray.get(ref, timeout=-1))
+            except Exception as e:  # noqa: BLE001 - the first is re-raised
+                error = error or e
+        if error is None:
+            return results
+        # the raised traceback keeps this frame alive (until a gc pass:
+        # error → traceback → frame → error), and a read view left in it
+        # would pin its channel's buffer and hang the replica's next read
+        del refs, results
+        if dead is not None:
+            # raise the replica's death; the other replicas serve on,
+            # and reload() replaces the dead one
+            ray.get(self.actors[dead].__ray_ready__.remote())
+        raise error
+
+    def _one_actor_per_shard(self) -> List[int]:
         """One replica per shard, ROTATING across calls so repeated
         small batches spread over all replicas instead of pinning the
         first one (ADVICE r3: extra replicas were spawned but idle)."""
@@ -248,24 +333,19 @@ class SearcherPool:
         """Each shard scores every query, the batch chunked across that
         shard's replicas (each query reaches exactly one replica of each
         shard), then the driver gathers."""
-        import ray
-
-        refs = []
+        requests = []
         for group in self._groups:
-            for j, actor in enumerate(group):
+            for j, i in enumerate(group):
                 chunk = queries[j::len(group)]
                 if chunk:
-                    refs.append(getattr(actor, method).remote(chunk,
-                                                              doc_freqs))
-        return _gather(ray.get(refs), queries, self.num_shards > 1)
+                    requests.append((i, (method, (chunk, doc_freqs))))
+        return _gather(self._call(requests), queries, self.num_shards > 1)
 
     def search_batch(
         self, queries: Sequence[Tuple[int, Sequence[str], str, int]],
     ) -> pa.Table:
         """(query_id, terms, mode, k) batch → ranked Arrow table,
         identical to ``search_pipeline`` at the same num_shards."""
-        import ray
-
         queries = list(queries)
         dfs = None
         if self.num_shards > 1:
@@ -276,8 +356,9 @@ class SearcherPool:
             cache = self._df_cache
             missing = [t for t in terms if t not in cache]
             if missing:
-                partials = ray.get([a.doc_freqs.remote(missing)
-                                    for a in self._one_actor_per_shard()])
+                partials = self._call([
+                    (i, ("doc_freqs", (missing,)))
+                    for i in self._one_actor_per_shard()])
                 for t in missing:
                     cache[t] = sum(p.get(t, 0) for p in partials)
             dfs = {t: cache[t] for t in terms}
@@ -295,15 +376,13 @@ class SearcherPool:
         per-shard expansions equals the full-vocab expansion and summed
         dfs are exact, so results are f32/rank-identical to a full-index
         replica."""
-        import ray
-
         queries = list(queries)
         dfs = None
         if self.num_shards > 1:
             # not cached: fuzzy/regex expansions are query-dependent
             dfs = {}
-            for p in ray.get([a.parsed_stat_terms.remote(queries)
-                              for a in self._one_actor_per_shard()]):
+            for p in self._call([(i, ("parsed_stat_terms", (queries,)))
+                                 for i in self._one_actor_per_shard()]):
                 for t, df in p.items():
                     dfs[t] = dfs.get(t, 0) + df
         return self._scatter("search_parsed_chunk", queries, dfs)
@@ -312,24 +391,22 @@ class SearcherPool:
         """Swap every replica to a fresh point-in-time snapshot of the
         CURRENT commit (the reference's IndexReader reload: a new
         searcher generation is warmed, then the old one is dropped —
-        queries in flight on old actors finish against the old
-        snapshot; new batches see the new commit)."""
-        import ray
-
-        old = self.actors
+        new batches see the new commit)."""
         fresh = SearcherPool(self._config[0], size=self._config[1],
                              use_wand=self._config[2],
                              num_cpus=self._config[3],
                              num_shards=self._config[4])
         fresh.warm()
+        self.close()
         self.__dict__.update(fresh.__dict__)  # new commit → new stats
-        fresh.actors = []  # ownership moved; don't let GC kill them
-        for a in old:
-            ray.kill(a, no_restart=True)
 
     def close(self) -> None:
         import ray
 
+        # channels first (a no-op for one a dead replica already closed)
+        for ch in self._channels.values():
+            ch.teardown()
+        self._channels = {}
         for a in self.actors:
             ray.kill(a, no_restart=True)
         self.actors = []

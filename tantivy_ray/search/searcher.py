@@ -213,7 +213,8 @@ class IndexSearcher:
             else:
                 alive = None
             gv = self._gv = {
-                "bases": bases, "fids": fids, "alive": alive, "post": {}
+                "bases": bases, "fids": fids, "alive": alive, "post": {},
+                "blocks": {},
             }
         return gv
 
@@ -222,7 +223,8 @@ class IndexSearcher:
         ``terms``: cached terms from the global FIFO, the rest decoded
         with ONE ``postings_many`` call per segment.  The returned map is
         the chunk's own, so the FIFO's evictions (a tail chunk has more
-        distinct terms than it holds) never force a second decode."""
+        distinct terms than it holds) never force a second decode.  A
+        term's cached WAND blocks (``_term_blocks``) leave with it."""
         gv = self._global_view()
         fifo = gv["post"]
         out = {t: fifo[t] for t in terms if t in fifo}
@@ -239,8 +241,21 @@ class IndexSearcher:
                                     for (d, _), base in parts]),
                     np.concatenate([tf for (_, tf), _ in parts]))
         while len(fifo) > _FIFO_TERMS:
-            fifo.pop(next(iter(fifo)))
+            t = next(iter(fifo))
+            del fifo[t]
+            gv["blocks"].pop(t, None)
         return out
+
+    def _term_blocks(self, term: str, docs: np.ndarray):
+        """``term_blocks`` of a term's global postings ``docs``, kept
+        beside the term's FIFO entry while it has one."""
+        gv = self._global_view()
+        b = gv["blocks"].get(term)
+        if b is None:
+            b = term_blocks(self.readers, term, docs, self.average_fieldnorm)
+            if term in gv["post"]:
+                gv["blocks"][term] = b
+        return b
 
     # --- stats ---
     def doc_freq(self, term: str) -> int:
@@ -292,8 +307,7 @@ class IndexSearcher:
         distinct = list(dict.fromkeys(t for ts in scored for t in ts))
         weight = dict(zip(distinct, self.make_weights(distinct, doc_freqs)))
         post = self._chunk_postings(distinct)
-        blocks = {t: term_blocks(self.readers, t, post[t][0],
-                                 self.average_fieldnorm)
+        blocks = {t: self._term_blocks(t, post[t][0])
                   for t in post} if use_wand else {}
         df_of = None if doc_freqs is None else (
             lambda t: doc_freqs.get(t, 0))

@@ -8,8 +8,10 @@ Assertions mirror the reference's unit tests:
 import math
 
 import numpy as np
+import pytest
 
-from tantivy_ray.bm25 import Bm25Weight, K1, B, compute_tf_cache, idf
+from tantivy_ray.bm25 import (B, K1, Bm25Weight, compute_tf_cache, idf,
+                              term_weights)
 from tantivy_ray.fieldnorm import (
     FIELD_NORMS_TABLE,
     fieldnorm_to_id,
@@ -101,3 +103,22 @@ class TestBm25:
         w = Bm25Weight.for_one_term(1, 2, 10.0)
         b = w.boost_by(2.0)
         assert abs(float(b.weight) - 2 * float(w.weight)) < 1e-6
+
+    @pytest.mark.parametrize("n_docs, dfs", [
+        (24_000, np.arange(1, 24_001)),
+        (10_000_000, np.random.default_rng(0).integers(1, 10_000_001,
+                                                       100_000)),
+    ])
+    def test_term_weights_bit_equal_scalar_idf(self, n_docs, dfs):
+        """The vector idf pass of ``term_weights`` gives, bit for bit,
+        the weight of scalar ``idf``; a missing term weighs as df 1."""
+        terms = [f"t{i}" for i in range(len(dfs))]
+        got = term_weights(terms + ["absent"], dict(zip(terms, dfs.tolist())),
+                           n_docs, 37.5)
+        want = [Bm25Weight(idf(int(n), n_docs), np.float32(37.5))
+                for n in dfs.tolist() + [1]]
+        bits = lambda ws: np.array([w.weight for w in ws],  # noqa: E731
+                                   np.float32).view(np.uint32)
+        assert (bits(got) == bits(want)).all()
+        assert all(type(w.weight) is np.float32 for w in got)
+        assert all(g.cache is w.cache for g, w in zip(got[:10], want))

@@ -163,40 +163,193 @@ class TestParsedSearchPipeline:
 
 
 class TestGather:
-    """The driver gather of an unsharded batch returns the one non-empty
-    host table as is only when the batch's query ids strictly increase;
-    every batch gets exactly the table the (query_id, rank) sort gives."""
+    """The driver gather copies the hosts' hit columns into one table
+    ranked per query_id.  Unsharded, every batch gets exactly the table
+    the (query_id, rank) sort gives, and one host's rows already arrive
+    in that order only when the batch's query ids strictly increase.
+    Sharded, the per-shard top-k merge into the full-index ranking."""
 
     @pytest.fixture(scope="class")
-    def host(self, tmp_path_factory):
+    def index(self, tmp_path_factory):
         from tantivy_ray.index import build_segment_from_table
         from tantivy_ray.index.manifest import IndexManifest, write_manifest
-        from tantivy_ray.search.pool import _SearcherHost
 
         idx = str(tmp_path_factory.mktemp("gather") / "ix")
         t = generate_pages_table(300, seed=3)
         write_manifest(idx, IndexManifest(segments=[
             build_segment_from_table(t.slice(o, 100), i, idx)
             for i, o in enumerate(range(0, 300, 100))]))
-        return _SearcherHost(idx, use_wand=False)
+        return idx
+
+    @pytest.fixture(scope="class")
+    def host(self, index):
+        from tantivy_ray.search.pool import _SearcherHost
+
+        return _SearcherHost(index, use_wand=False)
+
+    @pytest.fixture(scope="class")
+    def shard_hosts(self, index):
+        from tantivy_ray.search.pool import _SearcherHost
+
+        return [_SearcherHost(index, use_wand=False, segment_ords=[o])
+                for o in range(3)]
 
     @pytest.mark.parametrize("ids", [[0, 1, 2, 3, 4], [10, 20, 30, 40, 50],
                                      [3, 4, 0, 1, 2], [2, 2, 3, 3, 1], [7]])
-    def test_equals_the_sort(self, host, ids):
-        from tantivy_ray.search.pool import _gather
+    def test_equals_the_sort(self, host, shard_hosts, ids):
+        from tantivy_ray.search.pool import (_columns, _empty_columns,
+                                             _gather, _table)
 
+        order = [("query_id", "ascending"), ("rank", "ascending")]
         queries = [(qid, q[1], q[2], q[3])
                    for qid, q in zip(ids, REFERENCE_QUERY_SET)]
-        tbl = host.search_chunk(queries)
-        want = tbl.sort_by([("query_id", "ascending"), ("rank", "ascending")])
+        cols = host.search_chunk(queries)
+        tbl = _table(cols)
+        want = tbl.sort_by(order)
         assert len(set(tbl.column("query_id").to_pylist())) == len(set(ids))
         increasing = all(a < b for a, b in zip(ids, ids[1:]))
         assert tbl.equals(want) == increasing
-        got = _gather([tbl.slice(0, 0), tbl], queries, sharded=False)
+        got = _gather([_empty_columns(), cols], queries, sharded=False)
         assert got.equals(want)
-        assert (got is tbl) == increasing
-        # two host tables are always sorted
-        parts = [tbl.slice(tbl.num_rows // 2), tbl.slice(0, tbl.num_rows // 2)]
+        # the table owns its memory: no column points into a host result
+        assert not any(np.shares_memory(g, c)
+                       for g, c in zip(_columns(got), cols))
+        # two host parts gather into the same order
+        half = len(cols[0]) // 2
+        parts = [tuple(c[half:] for c in cols), tuple(c[:half] for c in cols)]
         assert _gather(parts, queries, sharded=False).equals(
-            pa.concat_tables(parts).sort_by(
-                [("query_id", "ascending"), ("rank", "ascending")]))
+            pa.concat_tables([_table(p) for p in parts]).sort_by(order))
+        if len(set(ids)) == len(ids):
+            # each shard scores every query with the global stats
+            dfs = host.doc_freqs(sorted({t for q in queries for t in q[1]}))
+            shard_parts = [h.search_chunk(queries, dfs) for h in shard_hosts]
+            assert _gather(shard_parts, queries, sharded=True).equals(want)
+
+
+def _stream(n: int, seed: int):
+    """``n`` (query_id, terms, mode, k) queries over the pages vocabulary:
+    1-3 terms, or/and, k in {5, 10}."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i:04d}" for i in range(0, 500, 3)] + [
+        "search", "index", "query", "data", "the", "rank", "score"]
+    return [(i, [str(w) for w in rng.choice(words, rng.integers(1, 4),
+                                            replace=False)],
+             str(rng.choice(["or", "and"])), int(rng.choice([5, 10])))
+            for i in range(n)]
+
+
+def _by_query(tbl):
+    """{query_id: [(f32 score, segment_ord, doc_id), ...]} of a hit table."""
+    out = {}
+    for q, s, seg, doc in zip(*(tbl.column(c).to_pylist() for c in (
+            "query_id", "score", "segment_ord", "doc_id"))):
+        out.setdefault(q, []).append((np.float32(s), seg, doc))
+    return out
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestPoolChannel:
+    """Each SearcherPool replica serves over one compiled channel: held
+    results stay valid, errors surface and the channel keeps serving,
+    reads have no timeout, and close/reload tear the channels down."""
+
+    def _expect(self, searcher, tbl, queries):
+        got = _by_query(tbl)
+        for qid, terms, mode, k in queries:
+            want = [(np.float32(s), seg, doc)
+                    for s, seg, doc in searcher.search(terms, mode, k)]
+            assert got.pop(qid, []) == want, (qid, terms, mode)
+        assert not got
+
+    def test_held_results_stay_valid(self, pages_index):
+        stream = _stream(600, seed=5)
+        s = IndexSearcher(pages_index)
+        pool = SearcherPool(pages_index, size=1)
+        pool.warm()
+        try:
+            held = [([q], pool.search_batch([q])) for q in stream[:50]]
+            held += [([q], pool.search_batch([q])) for q in stream[50:100]]
+            held.append((stream[100:], pool.search_batch(stream[100:])))
+        finally:
+            pool.close()
+        for queries, tbl in held:
+            self._expect(s, tbl, queries)
+
+    def test_host_error_surfaces_and_channel_serves_on(self, pages_index):
+        with pytest.raises(Exception) as in_process:
+            IndexSearcher(pages_index).parse_and_search("nosuchfield:x", 5)
+        pool = SearcherPool(pages_index, size=2, num_cpus=0.25)
+        pool.warm()
+        try:
+            # one replica raises, the other scores its chunk; the held
+            # exception must not pin that chunk's result in its channel
+            with pytest.raises(in_process.type) as raised:
+                pool.search_parsed_batch([(0, "nosuchfield:x", 5),
+                                          (1, "search", 5)])
+            q = _stream(20, seed=8)
+            self._expect(IndexSearcher(pages_index), pool.search_batch(q), q)
+            assert isinstance(raised.value, in_process.type)
+        finally:
+            pool.close()
+
+    def test_killed_replica_fails_the_batch(self, pages_index):
+        import time
+
+        import ray
+
+        pool = SearcherPool(pages_index, size=2, num_cpus=0.25)
+        pool.warm()
+        try:
+            ray.kill(pool.actors[1], no_restart=True)
+            t0 = time.perf_counter()
+            with pytest.raises(ray.exceptions.RayActorError):
+                pool.search_batch(_stream(500, seed=6))
+            assert time.perf_counter() - t0 < 10
+        finally:
+            pool.close()
+
+    def test_reads_ignore_the_channel_timeout(self, pages_index):
+        from ray.dag import DAGContext
+
+        ctx = DAGContext.get_current()
+        saved = ctx.get_timeout
+        ctx.get_timeout = 0.001
+        try:
+            pool = SearcherPool(pages_index, size=1)
+            pool.warm()
+            try:
+                queries = _stream(500, seed=7)
+                tbl = pool.search_batch(queries)
+            finally:
+                pool.close()
+        finally:
+            ctx.get_timeout = saved
+        self._expect(IndexSearcher(pages_index), tbl, queries)
+
+    def test_close_and_reload_leave_no_open_channel(self, tmp_path):
+        from tantivy_ray.sources.writer import IndexWriter
+
+        idx = str(tmp_path / "rl")
+        w = IndexWriter(idx, docs_per_segment=4)
+        for i in range(4):
+            w.add_document({"url": f"a{i}", "text": "alpha common"})
+        w.commit()
+        q = [(0, ["common"], "or", 10)]
+        pool = SearcherPool(idx, size=2, num_cpus=0.25)
+        pool.warm()
+        try:
+            old = list(pool._channels.values())
+            assert len(old) == 2
+            assert pool.search_batch(q).num_rows == 4
+            for i in range(3):
+                w.add_document({"url": f"b{i}", "text": "fresh common"})
+            w.commit()
+            pool.reload()
+            assert all(ch.is_teardown for ch in old)
+            self._expect(IndexSearcher(idx), pool.search_batch(q), q)
+            new = list(pool._channels.values())
+            assert len(new) == 2 and not any(ch.is_teardown for ch in new)
+        finally:
+            pool.close()
+        assert pool._channels == {} and pool.actors == []
+        assert all(ch.is_teardown for ch in new)

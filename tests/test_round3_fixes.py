@@ -197,19 +197,21 @@ def test_searcher_pool_sharded_parity(tmp_path, ray_session):
         (4, ["zzz"], "or", 5),
     ]
     want = search_pipeline(idx, queries, num_shards=3, concurrency=1)
-    pool = SearcherPool(idx, size=3, num_shards=3)
-    pool.warm()
-    try:
-        got = pool.search_batch(queries)
-    finally:
-        pool.close()
     wp = want.to_pandas().sort_values(["query_id", "rank"]).reset_index(
         drop=True)
-    gp = got.to_pandas().sort_values(["query_id", "rank"]).reset_index(
-        drop=True)
-    assert gp[["query_id", "rank", "segment_ord", "doc_id"]].equals(
-        wp[["query_id", "rank", "segment_ord", "doc_id"]])
-    assert (gp["score"].to_numpy() == wp["score"].to_numpy()).all()
+    # 1 and 2 replicas per shard (fractional CPUs: 3 + 6 actors fit)
+    for size in (3, 6):
+        pool = SearcherPool(idx, size=size, num_shards=3, num_cpus=0.25)
+        pool.warm()
+        try:
+            got = pool.search_batch(queries)
+        finally:
+            pool.close()
+        gp = got.to_pandas().sort_values(["query_id", "rank"]).reset_index(
+            drop=True)
+        assert gp[["query_id", "rank", "segment_ord", "doc_id"]].equals(
+            wp[["query_id", "rank", "segment_ord", "doc_id"]])
+        assert (gp["score"].to_numpy() == wp["score"].to_numpy()).all()
 
 
 def test_searcher_pool_parity(tmp_path, ray_session):
@@ -234,10 +236,14 @@ def test_searcher_pool_parity(tmp_path, ray_session):
         got = pool.search_batch(queries)
         # a second call reuses the same warm actors
         again = pool.search_batch(queries)
+        one = [pool.search_batch([q]) for q in queries]
     finally:
         pool.close()
     assert got.to_pydict() == want.to_pydict()
     assert again.to_pydict() == want.to_pydict()
+    qid = want.column("query_id").to_numpy()
+    for (q, *_), tbl in zip(queries, one):
+        assert tbl.to_pydict() == want.filter(qid == q).to_pydict()
 
 
 def test_searcher_pool_parsed_parity(tmp_path, ray_session):

@@ -300,3 +300,24 @@ class TestWandSkewedSegments:
         exh = s.search(["w0"], "or", 4)
         assert s.search(["w0"], "or", 4, use_wand=True) == exh
         assert s.search(["w0"], "and", 4, use_wand=True) == exh
+
+    def test_blocks_cached_and_evicted_with_postings(self, tmp_path,
+                                                    monkeypatch):
+        """A term's WAND blocks are computed once while its postings sit
+        in the FIFO, and leave the cache with them."""
+        import tantivy_ray.search.searcher as searcher_mod
+
+        monkeypatch.setattr(searcher_mod, "_FIFO_TERMS", 3)
+        _, vocab, s = self._searcher(tmp_path, 1)
+        gv = s._global_view()
+        s.search(["w0", "w1"], "or", 5, use_wand=True)
+        b0 = gv["blocks"]["w0"]
+        assert s.search(["w0"], "or", 5, use_wand=True) == s.search(
+            ["w0"], "or", 5)
+        assert gv["blocks"]["w0"] is b0
+        for terms in (vocab[2:6], vocab[6:9], vocab[9:11]):
+            assert (s.search(terms, "or", 5, use_wand=True)
+                    == s.search(terms, "or", 5))
+            assert gv["blocks"].keys() <= gv["post"].keys()
+            assert len(gv["post"]) <= 3
+        assert "w0" not in gv["blocks"]
